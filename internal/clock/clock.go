@@ -34,6 +34,14 @@ type Domain struct {
 	vnom    float64          // nominal supply voltage (V)
 	slow    float64          // period / nominal
 	started bool
+
+	// scale caches EnergyScale's (V/Vnom)², read once per simulated cycle.
+	// edge is a one-entry memo of EdgeAfter: the last edge at or before its
+	// most recent query. Consecutive queries mostly fall in the same cycle,
+	// which EdgeAfter then answers without a division. Every method that
+	// moves the period, phase or voltage refreshes both through retimed.
+	scale float64
+	edge  simtime.Time
 }
 
 // NewDomain creates a clock domain with the given nominal period, starting
@@ -49,7 +57,7 @@ func NewDomain(name string, period simtime.Duration, phase simtime.Time, vnom fl
 	if vnom <= 0 {
 		panic(fmt.Sprintf("clock: domain %q: nominal voltage %v must be positive", name, vnom))
 	}
-	return &Domain{
+	d := &Domain{
 		name:    name,
 		nominal: period,
 		period:  period,
@@ -58,6 +66,16 @@ func NewDomain(name string, period simtime.Duration, phase simtime.Time, vnom fl
 		vnom:    vnom,
 		slow:    1.0,
 	}
+	d.retimed()
+	return d
+}
+
+// retimed refreshes the cached energy scale and resets the EdgeAfter memo
+// to edge 0, after any change to the period, phase or voltage.
+func (d *Domain) retimed() {
+	r := d.voltage / d.vnom
+	d.scale = r * r
+	d.edge = d.phase
 }
 
 // Name returns the domain's diagnostic name.
@@ -89,10 +107,7 @@ func (d *Domain) Slowdown() float64 { return d.slow }
 // EnergyScale returns the factor by which dynamic energy per access changes
 // at the current supply voltage: (V/Vnom)². Energy consumption is dependent
 // on the square of the supply voltage (paper §3.3).
-func (d *Domain) EnergyScale() float64 {
-	r := d.voltage / d.vnom
-	return r * r
-}
+func (d *Domain) EnergyScale() float64 { return d.scale }
 
 // MarkStarted freezes the domain's frequency and voltage; called by the
 // simulator when its periodic tick event is installed.
@@ -116,6 +131,7 @@ func (d *Domain) SetSlowdown(factor float64) {
 	if d.phase >= d.period {
 		d.phase %= d.period
 	}
+	d.retimed()
 }
 
 // SetVoltage sets the supply voltage (typically from the dvfs solver after
@@ -128,6 +144,7 @@ func (d *Domain) SetVoltage(v float64) {
 		panic(fmt.Sprintf("clock: domain %q: voltage %v outside (0, %v]", d.name, v, d.vnom))
 	}
 	d.voltage = v
+	d.retimed()
 }
 
 // SetPhase changes the starting phase; must be in [0, period) and set before
@@ -140,6 +157,7 @@ func (d *Domain) SetPhase(phase simtime.Time) {
 		panic(fmt.Sprintf("clock: domain %q: phase %v outside [0, %v)", d.name, phase, d.period))
 	}
 	d.phase = phase
+	d.retimed()
 }
 
 // Retune rebases the clock at time at — which must be at or after the
@@ -165,6 +183,7 @@ func (d *Domain) Retune(at simtime.Time, slowdown, voltage float64) {
 		}
 		d.voltage = voltage
 	}
+	d.retimed()
 }
 
 // EdgeTime returns the time of edge index k (k >= 0).
@@ -199,8 +218,11 @@ func (d *Domain) EdgeAfter(t simtime.Time) simtime.Time {
 	if t < d.phase {
 		return d.phase
 	}
-	k := (t-d.phase)/d.period + 1
-	return d.phase + k*d.period
+	if t >= d.edge && t-d.edge < d.period {
+		return d.edge + d.period
+	}
+	d.edge = d.phase + (t-d.phase)/d.period*d.period
+	return d.edge + d.period
 }
 
 // NthEdgeAfter returns the time of the n-th edge strictly after t (n >= 1).

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +174,82 @@ func TestEdgeProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// closedFormEdgeAfter is EdgeAfter's definition, with no memo: the first
+// edge phase + k·period strictly after t.
+func closedFormEdgeAfter(phase simtime.Time, period simtime.Duration, t simtime.Time) simtime.Time {
+	if t < phase {
+		return phase
+	}
+	return phase + ((t-phase)/period+1)*period
+}
+
+// Property: EdgeAfter and NthEdgeAfter agree with the closed form under
+// random, non-monotone queries — before the phase, exactly on edges and in
+// between — interleaved with Retune and RestoreState, which move the
+// period and phase under the memo.
+func TestEdgeAfterMemoMatchesClosedForm(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		period := simtime.Duration(rng.Intn(5000)) + 1
+		d := NewDomain("m", period, simtime.Time(rng.Int63n(int64(period))), 1.65)
+		for op := 0; op < 400; op++ {
+			phase, per := d.Phase(), d.Period()
+			var q simtime.Time
+			switch rng.Intn(6) {
+			case 0: // a retune at or after the current phase
+				d.Retune(phase+simtime.Time(rng.Intn(20_000)), 1+rng.Float64()*2, 0)
+				continue
+			case 1: // a restore onto a different timing
+				st := d.State()
+				st.Period = simtime.Duration(rng.Intn(5000)) + 1
+				st.Phase = simtime.Time(rng.Intn(50_000))
+				if d.RestoreState(st) != nil {
+					return false
+				}
+				continue
+			case 2: // before the phase
+				q = phase - simtime.Time(rng.Intn(int(per))+1)
+			case 3: // exactly on an edge
+				q = phase + simtime.Time(rng.Intn(40))*per
+			case 4: // one tick either side of an edge
+				q = phase + simtime.Time(rng.Intn(40))*per + simtime.Time(rng.Intn(3)-1)
+			default: // anywhere in the next 40 cycles
+				q = phase + simtime.Time(rng.Int63n(int64(40*per)))
+			}
+			want := closedFormEdgeAfter(phase, per, q)
+			if d.EdgeAfter(q) != want {
+				return false
+			}
+			n := int64(rng.Intn(3)) + 1
+			if d.NthEdgeAfter(q, n) != want+simtime.Time(n-1)*per {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The cached energy scale follows every voltage change.
+func TestEnergyScaleTracksVoltage(t *testing.T) {
+	d := NewDomain("x", ns, 0, 2.0)
+	d.Retune(0, 2, 1.0)
+	if es := d.EnergyScale(); es != 0.25 {
+		t.Errorf("EnergyScale after retune to V/2 = %v, want 0.25", es)
+	}
+	st := d.State()
+	st.Voltage = 2.0
+	fresh := NewDomain("x", ns, 0, 2.0)
+	fresh.SetVoltage(1.0)
+	if err := fresh.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if es := fresh.EnergyScale(); es != 1 {
+		t.Errorf("EnergyScale after restore to nominal = %v, want 1", es)
 	}
 }

@@ -47,5 +47,6 @@ func (d *Domain) RestoreState(st State) error {
 	d.phase = st.Phase
 	d.voltage = st.Voltage
 	d.slow = st.Slowdown
+	d.retimed()
 	return nil
 }

@@ -1,8 +1,6 @@
-// Package event implements the general-purpose event-driven simulation
-// engine described in §4.2 of Iyer & Marculescu (ISCA 2002).
-//
-// The engine is deliberately faithful to the paper's design: an event queue
-// ordered by scheduled time, where each entry carries
+// Package event is the simulator's event-driven engine, after §4.2 of Iyer &
+// Marculescu (ISCA 2002). The paper's engine is an event queue ordered by
+// scheduled time, where each entry carries
 //
 //   - a function to call at each occurrence of the event,
 //   - a time at which the event is scheduled to occur,
@@ -11,333 +9,49 @@
 //   - for periodic events, a time period of repetition (used to simulate
 //     clocked systems).
 //
-// To simulate a clocked system one inserts one periodic event per clock
-// domain; when the engine processes a periodic event it schedules the next
-// instance, representing the next cycle of that clock (paper Figure 4).
+// A clocked system is simulated by inserting one periodic event per clock
+// domain; processing a periodic event schedules its next instance, the next
+// cycle of that clock (paper Figure 4).
 //
-// The queue is a hand-rolled 4-ary heap of value-typed entries rather than
-// the paper's singly linked list — an implementation detail that changes
-// complexity, not semantics. Entries carry their ordering key (time,
-// priority, insertion sequence) inline, so heap comparisons touch no event
-// object, and a periodic event is rescheduled in place: its head entry's
-// time is bumped by the period and sifted down, with no pop/push pair and no
-// allocation per clock edge. A monotonically increasing insertion sequence
-// number provides a stable, deterministic order for events with equal time
-// and equal priority.
-//
-// Cancellation is eager: Cancel removes the entry from the heap immediately,
-// so the queue never holds dead entries and NextEventTime is a pure
-// accessor.
+// That is the only way the simulator uses the engine, so the queue is a
+// next-edge table: per clock domain, the time of its next edge, its period
+// and its priority, with a linear scan for the earliest entry. A pipeline
+// topology has at most five domains, whose priorities are distinct, so
+// ordering by (time, priority) is total and the schedule deterministic. The
+// domain handlers live with the caller (the pipeline core); the table only
+// says whose edge comes next.
 package event
 
-import (
-	"fmt"
+import "galsim/internal/simtime"
 
-	"galsim/internal/simtime"
-)
-
-// Func is the action invoked when an event fires, at simulated time now.
-// State an event needs travels in the closure; the engine stores no
-// parameter values.
-type Func func(now simtime.Time)
-
-// Event is a scheduled occurrence inside the engine. Events are owned by the
-// engine once scheduled; callers hold *Event only to cancel or inspect.
-type Event struct {
-	fn       Func
-	when     simtime.Time
-	priority int
-	period   simtime.Duration // 0 for one-shot events
-	seq      uint64           // insertion order, for deterministic ties
-	index    int              // heap index, -1 when not queued
-	canceled bool
-	name     string
+// Table is the next-edge table. The three slices are indexed by domain and
+// have equal lengths; the caller builds them and may read them back (for a
+// checkpoint) between calls to Advance.
+type Table struct {
+	When   []simtime.Time     // next edge per domain
+	Period []simtime.Duration // repetition interval per domain
+	Prio   []int              // tie-break rank per domain; lower fires first
+	Now    simtime.Time       // time of the edge being (or last) processed
 }
 
-// When returns the next scheduled firing time.
-func (e *Event) When() simtime.Time { return e.when }
-
-// Period returns the repetition period (0 for one-shot events).
-func (e *Event) Period() simtime.Duration { return e.period }
-
-// Priority returns the tie-break priority (lower fires first).
-func (e *Event) Priority() int { return e.priority }
-
-// Name returns the diagnostic label given at scheduling time.
-func (e *Event) Name() string { return e.name }
-
-// Canceled reports whether Cancel has been called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// String implements fmt.Stringer for diagnostics.
-func (e *Event) String() string {
-	kind := "once"
-	if e.period > 0 {
-		kind = fmt.Sprintf("every %v", e.period)
-	}
-	return fmt.Sprintf("event %q at %v (prio %d, %s)", e.name, e.when, e.priority, kind)
-}
-
-// entry is one heap slot: the ordering key held by value (so comparisons are
-// pointer-chase-free) plus the event it stands for. The key fields mirror
-// ev.when / ev.priority / ev.seq; reschedules update both.
-type entry struct {
-	when     simtime.Time
-	seq      uint64
-	priority int
-	ev       *Event
-}
-
-// before reports whether a fires before b: ordered by (time, priority,
-// insertion sequence). Sequence numbers are unique, so the order is total
-// and the execution schedule deterministic.
-func (a *entry) before(b *entry) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	if a.priority != b.priority {
-		return a.priority < b.priority
-	}
-	return a.seq < b.seq
-}
-
-// Engine is the event-driven simulation core: a clock-independent scheduler
-// that drives any mixture of asynchronous and clocked components.
-//
-// Engine is not safe for concurrent use; the whole simulator is
-// single-threaded by design so that results are exactly reproducible.
-type Engine struct {
-	heap      []entry // 4-ary min-heap
-	now       simtime.Time
-	seq       uint64
-	processed uint64
-	running   bool
-	stopped   bool
-}
-
-// NewEngine returns an engine with an empty queue at time 0.
-func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// Now returns the current simulated time: the timestamp of the event being
-// processed, or of the last processed event when the engine is idle.
-func (g *Engine) Now() simtime.Time { return g.now }
-
-// Len returns the number of pending events. Canceled events are removed
-// eagerly and never counted.
-func (g *Engine) Len() int { return len(g.heap) }
-
-// Processed returns the total number of events executed so far.
-func (g *Engine) Processed() uint64 { return g.processed }
-
-// heap primitives — a 4-ary min-heap. The wider node trades deeper
-// comparisons for fewer levels and fewer swaps; with entries held by value
-// the four-child scan is contiguous memory, which is the layout the per-edge
-// sift-down in step rewards.
-
-const heapArity = 4
-
-// siftUp moves the entry at index i toward the root until its parent fires
-// no later than it does.
-func (g *Engine) siftUp(i int) {
-	h := g.heap
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].ev.index = i
-		i = parent
-	}
-	h[i] = e
-	e.ev.index = i
-}
-
-// siftDown moves the entry at index i toward the leaves until no child fires
-// before it.
-func (g *Engine) siftDown(i int) {
-	h := g.heap
-	n := len(h)
-	e := h[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		min := first
-		for c := first + 1; c < last; c++ {
-			if h[c].before(&h[min]) {
-				min = c
-			}
-		}
-		if !h[min].before(&e) {
-			break
-		}
-		h[i] = h[min]
-		h[i].ev.index = i
-		i = min
-	}
-	h[i] = e
-	e.ev.index = i
-}
-
-// push inserts an entry and restores heap order.
-func (g *Engine) push(e entry) {
-	g.heap = append(g.heap, e)
-	g.siftUp(len(g.heap) - 1)
-}
-
-// remove deletes the entry at index i and restores heap order.
-func (g *Engine) remove(i int) {
-	h := g.heap
-	n := len(h) - 1
-	h[i].ev.index = -1
-	if i != n {
-		h[i] = h[n]
-		h[i].ev.index = i
-	}
-	h[n] = entry{}
-	g.heap = h[:n]
-	if i < n {
-		g.siftDown(i)
-		g.siftUp(i)
-	}
-}
-
-// Schedule inserts a one-shot event. It panics if when precedes the current
-// time, since time travel would silently corrupt causality.
-func (g *Engine) Schedule(when simtime.Time, priority int, name string, fn Func) *Event {
-	return g.schedule(when, priority, 0, name, fn)
-}
-
-// SchedulePeriodic inserts a periodic event: the paper's mechanism for
-// simulating a clock domain. start is the first firing time (the clock's
-// initial phase) and period the repetition interval; period must be > 0.
-func (g *Engine) SchedulePeriodic(start simtime.Time, period simtime.Duration, priority int, name string, fn Func) *Event {
-	if period <= 0 {
-		panic(fmt.Sprintf("event: periodic event %q requires positive period, got %v", name, period))
-	}
-	return g.schedule(start, priority, period, name, fn)
-}
-
-func (g *Engine) schedule(when simtime.Time, priority int, period simtime.Duration, name string, fn Func) *Event {
-	if fn == nil {
-		panic(fmt.Sprintf("event: nil function for event %q", name))
-	}
-	if when < g.now {
-		panic(fmt.Sprintf("event: cannot schedule %q at %v, now is %v", name, when, g.now))
-	}
-	e := &Event{
-		fn:       fn,
-		when:     when,
-		priority: priority,
-		period:   period,
-		seq:      g.seq,
-		name:     name,
-	}
-	g.seq++
-	g.push(entry{when: e.when, seq: e.seq, priority: e.priority, ev: e})
-	return e
-}
-
-// Cancel removes an event from future processing, deleting its queue entry
-// immediately. Canceling an already canceled or already fired one-shot event
-// is a harmless no-op. A canceled periodic event never fires again.
-func (g *Engine) Cancel(e *Event) {
-	if e == nil || e.canceled {
-		return
-	}
-	e.canceled = true
-	if e.index >= 0 {
-		g.remove(e.index)
-	}
-}
-
-// SetPeriod changes the repetition period of a periodic event, taking effect
-// at its next rescheduling. This is the hook dynamic frequency scaling uses
-// to retune a clock domain mid-run.
-func (g *Engine) SetPeriod(e *Event, period simtime.Duration) {
-	if period <= 0 {
-		panic(fmt.Sprintf("event: SetPeriod(%q) requires positive period, got %v", e.name, period))
-	}
-	if e.period == 0 {
-		panic(fmt.Sprintf("event: SetPeriod on one-shot event %q", e.name))
-	}
-	e.period = period
-}
-
-// Stop makes the engine return from Run/RunUntil after the current event
-// completes. Pending events remain queued.
-func (g *Engine) Stop() { g.stopped = true }
-
-// step processes exactly one event. It reports false when no event at or
-// before limit remains.
-func (g *Engine) step(limit simtime.Time) bool {
-	if len(g.heap) == 0 || g.heap[0].when > limit {
-		return false
-	}
-	ev := g.heap[0].ev
-	g.now = ev.when
-	g.processed++
-	// Reschedule periodic events (in place: bump the head's key and sift it
-	// down) before invoking the handler, so the handler may Cancel or
-	// SetPeriod its own event.
-	if ev.period > 0 {
-		ev.when += ev.period
-		ev.seq = g.seq
-		g.seq++
-		g.heap[0].when = ev.when
-		g.heap[0].seq = ev.seq
-		g.siftDown(0)
-	} else {
-		g.remove(0)
-	}
-	ev.fn(g.now)
-	return true
-}
-
-// Run processes events until the queue is empty or Stop is called. It is the
-// paper's process_event_queue(). Returns the final simulated time.
-func (g *Engine) Run() simtime.Time {
-	return g.RunUntil(simtime.Never)
-}
-
-// RunUntil processes events with timestamps <= limit, stopping earlier if
-// Stop is called or the queue drains. Time is left at the last processed
-// event (or advanced to limit if nothing remained to process at or before
-// it and limit is not Never).
-func (g *Engine) RunUntil(limit simtime.Time) simtime.Time {
-	if g.running {
-		panic("event: RunUntil called re-entrantly from an event handler")
-	}
-	g.running = true
-	g.stopped = false
-	defer func() { g.running = false }()
-	for !g.stopped {
-		if !g.step(limit) {
-			break
+// Advance pops the earliest edge: it returns the firing domain and time and
+// reschedules that domain one period later, before its handler runs, so the
+// handler may retune its own next edge.
+func (t *Table) Advance() (int, simtime.Time) {
+	g := 0
+	for i := 1; i < len(t.When); i++ {
+		if t.When[i] < t.When[g] || (t.When[i] == t.When[g] && t.Prio[i] < t.Prio[g]) {
+			g = i
 		}
 	}
-	if !g.stopped && limit != simtime.Never && limit > g.now {
-		g.now = limit
-	}
-	return g.now
+	t.Now = t.When[g]
+	t.When[g] += t.Period[g]
+	return g, t.Now
 }
 
-// NextEventTime returns the timestamp of the earliest pending event, or
-// simtime.Never when the queue is empty. It is a pure accessor: cancellation
-// removes entries eagerly, so the head of the heap is always live and
-// peeking at it mutates nothing.
-func (g *Engine) NextEventTime() simtime.Time {
-	if len(g.heap) == 0 {
-		return simtime.Never
-	}
-	return g.heap[0].when
+// SetPeriod replaces domain g's schedule: its next edge one new period after
+// now, repeating at the new period.
+func (t *Table) SetPeriod(g int, now simtime.Time, period simtime.Duration) {
+	t.When[g] = now + period
+	t.Period[g] = period
 }

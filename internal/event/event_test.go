@@ -9,355 +9,143 @@ import (
 	"galsim/internal/simtime"
 )
 
-func TestOneShotOrdering(t *testing.T) {
-	g := NewEngine()
-	var got []int
-	rec := func(id int) Func {
-		return func(now simtime.Time) { got = append(got, id) }
-	}
-	g.Schedule(30, 0, "c", rec(3))
-	g.Schedule(10, 0, "a", rec(1))
-	g.Schedule(20, 0, "b", rec(2))
-	g.Run()
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+type firing struct {
+	dom int
+	at  simtime.Time
+}
+
+// drain advances the table until the next edge lies past limit. handler,
+// if not nil, runs after each firing, as a domain's tick would.
+func drain(t *Table, limit simtime.Time, handler func(g int, now simtime.Time)) []firing {
+	var got []firing
+	for {
+		g, now := t.Advance()
+		if now > limit {
+			return got
 		}
-	}
-	if g.Now() != 30 {
-		t.Errorf("Now() = %v, want 30", g.Now())
-	}
-}
-
-func TestPriorityTieBreak(t *testing.T) {
-	g := NewEngine()
-	var got []string
-	g.Schedule(5, 2, "low", func(simtime.Time) { got = append(got, "low") })
-	g.Schedule(5, 1, "high", func(simtime.Time) { got = append(got, "high") })
-	g.Schedule(5, 3, "lowest", func(simtime.Time) { got = append(got, "lowest") })
-	g.Run()
-	if len(got) != 3 || got[0] != "high" || got[1] != "low" || got[2] != "lowest" {
-		t.Errorf("priority order = %v", got)
-	}
-}
-
-func TestEqualTimePriorityStableBySeq(t *testing.T) {
-	g := NewEngine()
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		g.Schedule(7, 0, "x", func(simtime.Time) { got = append(got, i) })
-	}
-	g.Run()
-	for i := 0; i < 10; i++ {
-		if got[i] != i {
-			t.Fatalf("insertion order not preserved: %v", got)
+		got = append(got, firing{g, now})
+		if handler != nil {
+			handler(g, now)
 		}
 	}
 }
 
 func TestPeriodicEvent(t *testing.T) {
-	g := NewEngine()
-	var times []simtime.Time
-	ev := g.SchedulePeriodic(500, 2000, 0, "clock", func(now simtime.Time) {
-		times = append(times, now)
-	})
-	g.RunUntil(10_000)
+	tab := Table{When: []simtime.Time{500}, Period: []simtime.Duration{2000}, Prio: []int{0}}
+	got := drain(&tab, 10_000, nil)
 	want := []simtime.Time{500, 2500, 4500, 6500, 8500}
-	if len(times) != len(want) {
-		t.Fatalf("fired %d times (%v), want %d", len(times), times, len(want))
+	if len(got) != len(want) {
+		t.Fatalf("fired %d times (%v), want %d", len(got), got, len(want))
 	}
 	for i := range want {
-		if times[i] != want[i] {
-			t.Errorf("tick %d at %v, want %v", i, times[i], want[i])
+		if got[i] != (firing{0, want[i]}) {
+			t.Errorf("tick %d = %+v, want at %v", i, got[i], want[i])
 		}
 	}
-	if ev.When() != 10_500 {
-		t.Errorf("next firing %v, want 10500", ev.When())
-	}
-	g.Cancel(ev)
-	g.RunUntil(100_000)
-	if len(times) != len(want) {
-		t.Error("canceled periodic event still fired")
+	// The edge popped past the limit has been rescheduled, like every other.
+	if tab.Now != 10_500 || tab.When[0] != 12_500 {
+		t.Errorf("after drain Now = %v, next edge %v; want 10500, 12500", tab.Now, tab.When[0])
 	}
 }
 
 func TestThreeClockFigure4(t *testing.T) {
 	// Reproduces Figure 4 of the paper: clocks with periods 2ns, 3ns, 2.5ns
-	// and phases 0.5ns, 1.0ns, 0ns. Check the first several firing times.
-	g := NewEngine()
-	type tick struct {
-		clock int
-		at    simtime.Time
-	}
-	var ticks []tick
+	// and phases 0.5ns, 1.0ns, 0ns.
 	ns := simtime.Nanosecond
-	g.SchedulePeriodic(ns/2, 2*ns, 1, "clock1", func(now simtime.Time) {
-		ticks = append(ticks, tick{1, now})
-	})
-	g.SchedulePeriodic(ns, 3*ns, 2, "clock2", func(now simtime.Time) {
-		ticks = append(ticks, tick{2, now})
-	})
-	g.SchedulePeriodic(0, 5*ns/2, 3, "clock3", func(now simtime.Time) {
-		ticks = append(ticks, tick{3, now})
-	})
-	g.RunUntil(6 * ns)
-	want := []tick{
-		{3, 0}, {1, ns / 2}, {2, ns}, {1, 5 * ns / 2}, {3, 5 * ns / 2},
-		{2, 4 * ns}, {1, 9 * ns / 2}, {3, 5 * ns},
+	tab := Table{When: []simtime.Time{ns / 2, ns, 0},
+		Period: []simtime.Duration{2 * ns, 3 * ns, 5 * ns / 2}, Prio: []int{0, 1, 2}}
+	got := drain(&tab, 6*ns, nil)
+	want := []firing{
+		{2, 0}, {0, ns / 2}, {1, ns}, {0, 5 * ns / 2}, {2, 5 * ns / 2},
+		{1, 4 * ns}, {0, 9 * ns / 2}, {2, 5 * ns},
 	}
-	if len(ticks) != len(want) {
-		t.Fatalf("got %d ticks %v, want %d", len(ticks), ticks, len(want))
+	if len(got) != len(want) {
+		t.Fatalf("got %d edges %v, want %v", len(got), got, want)
 	}
 	for i := range want {
-		if ticks[i] != want[i] {
-			t.Errorf("tick %d = %+v, want %+v", i, ticks[i], want[i])
+		if got[i] != want[i] {
+			t.Errorf("edge %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
-func TestScheduleInPast(t *testing.T) {
-	g := NewEngine()
-	g.Schedule(100, 0, "a", func(simtime.Time) {})
-	g.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
-		}
-	}()
-	g.Schedule(50, 0, "past", func(simtime.Time) {})
-}
-
-func TestScheduleFromHandler(t *testing.T) {
-	g := NewEngine()
-	var fired []string
-	g.Schedule(10, 0, "first", func(now simtime.Time) {
-		fired = append(fired, "first")
-		g.Schedule(now+5, 0, "chained", func(simtime.Time) {
-			fired = append(fired, "chained")
-		})
-	})
-	g.Run()
-	if len(fired) != 2 || fired[1] != "chained" {
-		t.Errorf("fired = %v", fired)
+func TestPriorityTieBreak(t *testing.T) {
+	// Three domains with coincident edges fire in priority order, whatever
+	// their index.
+	tab := Table{When: []simtime.Time{5, 5, 5}, Period: []simtime.Duration{10, 10, 10}, Prio: []int{1, 0, 2}}
+	got := drain(&tab, 15, nil)
+	want := []int{1, 0, 2, 1, 0, 2}
+	if len(got) != len(want) {
+		t.Fatalf("got %v", got)
 	}
-	if g.Now() != 15 {
-		t.Errorf("Now() = %v, want 15", g.Now())
-	}
-}
-
-func TestZeroDelaySelfSchedule(t *testing.T) {
-	// An event may schedule another event at the same timestamp; it must run
-	// in the same pass, after the current one.
-	g := NewEngine()
-	n := 0
-	var chain Func
-	chain = func(now simtime.Time) {
-		n++
-		if n < 5 {
-			g.Schedule(now, 0, "chain", chain)
+	for i, g := range want {
+		if got[i].dom != g {
+			t.Fatalf("firing order %v, want domains %v", got, want)
 		}
 	}
-	g.Schedule(0, 0, "chain", chain)
-	g.Run()
-	if n != 5 {
-		t.Errorf("chain ran %d times, want 5", n)
-	}
-}
-
-func TestStop(t *testing.T) {
-	g := NewEngine()
-	n := 0
-	g.SchedulePeriodic(0, 10, 0, "clk", func(now simtime.Time) {
-		n++
-		if n == 3 {
-			g.Stop()
-		}
-	})
-	g.Run()
-	if n != 3 {
-		t.Errorf("ran %d ticks, want 3", n)
-	}
-	if g.Len() == 0 {
-		t.Error("pending events dropped by Stop")
+	if tab.Now != 25 {
+		t.Errorf("Now = %v after popping the first edge past the limit, want 25", tab.Now)
 	}
 }
 
 func TestSetPeriod(t *testing.T) {
-	g := NewEngine()
-	var times []simtime.Time
-	var ev *Event
-	ev = g.SchedulePeriodic(0, 10, 0, "clk", func(now simtime.Time) {
-		times = append(times, now)
-		if now == 20 {
-			g.SetPeriod(ev, 25) // frequency scaling kicks in after this tick
+	// Domain 0 slows from period 10 to 25 at its edge at 20 (a DVFS retune
+	// from its own handler): its next edge moves from 30 to 45 and the
+	// interleaving with domain 1 (period 15) follows the new period from
+	// there on.
+	tab := Table{When: []simtime.Time{0, 1}, Period: []simtime.Duration{10, 15}, Prio: []int{0, 1}}
+	got := drain(&tab, 100, func(g int, now simtime.Time) {
+		if g == 0 && now == 20 {
+			tab.SetPeriod(0, now, 25)
 		}
 	})
-	g.RunUntil(100)
-	// Note: the tick at 20 was rescheduled (with old period 10) before the
-	// handler ran, so the new period takes effect from the tick at 30.
-	want := []simtime.Time{0, 10, 20, 30, 55, 80}
-	if len(times) != len(want) {
-		t.Fatalf("ticks = %v, want %v", times, want)
+	want := []firing{{0, 0}, {1, 1}, {0, 10}, {1, 16}, {0, 20}, {1, 31}, {0, 45},
+		{1, 46}, {1, 61}, {0, 70}, {1, 76}, {1, 91}, {0, 95}}
+	if len(got) != len(want) {
+		t.Fatalf("edges %v, want %v", got, want)
 	}
 	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", times, want)
+		if got[i] != want[i] {
+			t.Fatalf("edges %v, want %v", got, want)
 		}
 	}
-}
-
-func TestCancelOneShot(t *testing.T) {
-	g := NewEngine()
-	fired := false
-	ev := g.Schedule(10, 0, "x", func(simtime.Time) { fired = true })
-	g.Cancel(ev)
-	g.Cancel(ev) // double cancel is a no-op
-	g.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false")
+	if tab.Period[0] != 25 || tab.When[0] != 120 {
+		t.Errorf("domain 0 schedule = (next %v, period %v), want (120, 25)", tab.When[0], tab.Period[0])
 	}
 }
 
-// TestCancelSelfFromHandler: a periodic event may cancel itself while its
-// handler runs (the reschedule has already happened); it must never fire
-// again and the queue entry must be gone.
-func TestCancelSelfFromHandler(t *testing.T) {
-	g := NewEngine()
-	n := 0
-	var ev *Event
-	ev = g.SchedulePeriodic(0, 10, 0, "clk", func(simtime.Time) {
-		n++
-		if n == 2 {
-			g.Cancel(ev)
-		}
-	})
-	g.Run()
-	if n != 2 {
-		t.Errorf("self-canceled periodic fired %d times, want 2", n)
-	}
-	if g.Len() != 0 {
-		t.Errorf("queue holds %d entries after self-cancel, want 0", g.Len())
-	}
-}
-
-func TestRunUntilAdvancesTime(t *testing.T) {
-	g := NewEngine()
-	g.Schedule(10, 0, "x", func(simtime.Time) {})
-	end := g.RunUntil(100)
-	if end != 100 || g.Now() != 100 {
-		t.Errorf("RunUntil = %v, Now = %v, want 100", end, g.Now())
-	}
-}
-
-func TestRunUntilDoesNotOverrun(t *testing.T) {
-	g := NewEngine()
-	var times []simtime.Time
-	g.SchedulePeriodic(0, 7, 0, "clk", func(now simtime.Time) {
-		times = append(times, now)
-	})
-	g.RunUntil(20)
-	if len(times) != 3 { // 0, 7, 14
-		t.Fatalf("ticks %v", times)
-	}
-	g.RunUntil(30) // resumes: 21, 28
-	if len(times) != 5 || times[3] != 21 || times[4] != 28 {
-		t.Fatalf("resumed ticks %v", times)
-	}
-}
-
-func TestClosureCapture(t *testing.T) {
-	// Event state travels in the closure (the engine stores no parameters).
-	g := NewEngine()
-	got := ""
-	payload := "hello"
-	g.Schedule(1, 0, "p", func(simtime.Time) { got = payload })
-	g.Run()
-	if got != "hello" {
-		t.Errorf("captured = %q", got)
-	}
-}
-
-// TestNextEventTimePure pins the accessor contract: NextEventTime reports
-// the earliest pending timestamp without mutating the queue — repeated
-// calls return the same value, Len is untouched, and cancellation of the
-// head (removed eagerly by Cancel itself) exposes the next live event.
-func TestNextEventTimePure(t *testing.T) {
-	g := NewEngine()
-	if g.NextEventTime() != simtime.Never {
-		t.Error("empty queue should report Never")
-	}
-	e1 := g.Schedule(50, 0, "a", func(simtime.Time) {})
-	g.Schedule(70, 0, "b", func(simtime.Time) {})
-	for i := 0; i < 3; i++ {
-		if got := g.NextEventTime(); got != 50 {
-			t.Fatalf("call %d: NextEventTime = %v, want 50", i, got)
-		}
-		if g.Len() != 2 {
-			t.Fatalf("call %d mutated the queue: Len = %d, want 2", i, g.Len())
-		}
-	}
-	g.Cancel(e1)
-	if g.Len() != 1 {
-		t.Errorf("Cancel left Len = %d, want 1 (eager removal)", g.Len())
-	}
-	if g.NextEventTime() != 70 {
-		t.Errorf("after cancel NextEventTime = %v, want 70", g.NextEventTime())
-	}
-	if g.Len() != 1 {
-		t.Errorf("NextEventTime mutated the queue after cancel: Len = %d", g.Len())
-	}
-	g.Run()
-	if g.NextEventTime() != simtime.Never {
-		t.Error("drained queue should report Never")
-	}
-}
-
-// Property: for any set of (time, priority) pairs, execution order is the
-// sorted order by (time, priority, insertion index).
+// Property: for random phases, periods and distinct priorities, the table
+// fires every edge phase + k·period, in (time, priority) order — the order
+// the paper's time-ordered event queue yields.
 func TestOrderingProperty(t *testing.T) {
-	type key struct {
-		when uint16
-		prio uint8
-		idx  int
-	}
-	f := func(whens []uint16, prios []uint8) bool {
-		n := len(whens)
-		if len(prios) < n {
-			n = len(prios)
-		}
-		if n == 0 {
-			return true
-		}
-		g := NewEngine()
-		var got []key
-		keys := make([]key, n)
-		for i := 0; i < n; i++ {
-			k := key{whens[i], prios[i], i}
-			keys[i] = k
-			g.Schedule(simtime.Time(k.when), int(k.prio), "k", func(simtime.Time) {
-				got = append(got, k)
-			})
-		}
-		g.Run()
-		sort.SliceStable(keys, func(a, b int) bool {
-			if keys[a].when != keys[b].when {
-				return keys[a].when < keys[b].when
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(5) + 1
+		when := make([]simtime.Time, n)
+		period := make([]simtime.Duration, n)
+		prio := rng.Perm(n)
+		var want []firing
+		const limit = 5000
+		for g := range when {
+			period[g] = simtime.Duration(rng.Intn(300)) + 1
+			when[g] = simtime.Time(rng.Intn(int(period[g])))
+			for at := when[g]; at <= limit; at += period[g] {
+				want = append(want, firing{g, at})
 			}
-			if keys[a].prio != keys[b].prio {
-				return keys[a].prio < keys[b].prio
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
 			}
-			return keys[a].idx < keys[b].idx
+			return prio[want[i].dom] < prio[want[j].dom]
 		})
-		if len(got) != n {
+		tab := Table{When: when, Period: period, Prio: prio}
+		got := drain(&tab, limit, nil)
+		if len(got) != len(want) {
 			return false
 		}
-		for i := range keys {
-			if got[i] != keys[i] {
+		for i := range want {
+			if got[i] != want[i] {
 				return false
 			}
 		}
@@ -368,8 +156,8 @@ func TestOrderingProperty(t *testing.T) {
 	}
 }
 
-// Property: a periodic event fires exactly floor((limit-start)/period)+1
-// times within [start, limit].
+// Property: a domain fires exactly floor((limit-start)/period)+1 times
+// within [start, limit].
 func TestPeriodicCountProperty(t *testing.T) {
 	f := func(startRaw, periodRaw uint16, limitRaw uint32) bool {
 		start := simtime.Time(startRaw)
@@ -378,10 +166,8 @@ func TestPeriodicCountProperty(t *testing.T) {
 		if limit < start {
 			start, limit = limit, start
 		}
-		g := NewEngine()
-		n := 0
-		g.SchedulePeriodic(start, period, 0, "clk", func(simtime.Time) { n++ })
-		g.RunUntil(limit)
+		tab := Table{When: []simtime.Time{start}, Period: []simtime.Duration{period}, Prio: []int{0}}
+		n := len(drain(&tab, limit, nil))
 		want := int((limit-start)/period) + 1
 		return n == want
 	}
@@ -391,57 +177,31 @@ func TestPeriodicCountProperty(t *testing.T) {
 }
 
 func TestManyRandomEventsDrainInOrder(t *testing.T) {
+	// Far more domains than a topology has: the scan still yields edges in
+	// time order, each domain exactly as often as its schedule says.
 	rng := rand.New(rand.NewSource(42))
-	g := NewEngine()
+	const n, limit = 64, 1_000_000
+	tab := Table{When: make([]simtime.Time, n), Period: make([]simtime.Duration, n), Prio: rng.Perm(n)}
+	for g := range tab.When {
+		tab.Period[g] = simtime.Duration(rng.Intn(50_000)) + 1
+		tab.When[g] = simtime.Time(rng.Intn(limit))
+	}
+	wantCount := make([]int, n)
+	for g := range wantCount {
+		wantCount[g] = int((limit-tab.When[g])/tab.Period[g]) + 1
+	}
+	count := make([]int, n)
 	last := simtime.Time(-1)
-	ok := true
-	for i := 0; i < 5000; i++ {
-		when := simtime.Time(rng.Intn(1_000_000))
-		g.Schedule(when, rng.Intn(8), "r", func(now simtime.Time) {
-			if now < last {
-				ok = false
-			}
-			last = now
-		})
-	}
-	g.Run()
-	if !ok {
-		t.Error("events executed out of time order")
-	}
-	if g.Processed() != 5000 {
-		t.Errorf("processed %d, want 5000", g.Processed())
-	}
-}
-
-// TestRandomCancellations interleaves scheduling and canceling under a
-// deterministic RNG and checks only live events fire, in time order.
-func TestRandomCancellations(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := NewEngine()
-	var evs []*Event
-	fired := map[*Event]bool{}
-	for i := 0; i < 2000; i++ {
-		var ev *Event
-		ev = g.Schedule(simtime.Time(rng.Intn(100_000)), rng.Intn(4), "r",
-			func(simtime.Time) { fired[ev] = true })
-		evs = append(evs, ev)
-	}
-	canceled := map[*Event]bool{}
-	for i := 0; i < 800; i++ {
-		ev := evs[rng.Intn(len(evs))]
-		g.Cancel(ev)
-		canceled[ev] = true
-	}
-	g.Run()
-	for _, ev := range evs {
-		if canceled[ev] && fired[ev] {
-			t.Fatal("canceled event fired")
+	for _, f := range drain(&tab, limit, nil) {
+		if f.at < last {
+			t.Fatalf("edge of domain %d at %v after one at %v", f.dom, f.at, last)
 		}
-		if !canceled[ev] && !fired[ev] {
-			t.Fatal("live event never fired")
-		}
+		last = f.at
+		count[f.dom]++
 	}
-	if g.Len() != 0 {
-		t.Errorf("queue not drained: %d left", g.Len())
+	for g := range count {
+		if count[g] != wantCount[g] {
+			t.Errorf("domain %d fired %d times, want %d", g, count[g], wantCount[g])
+		}
 	}
 }

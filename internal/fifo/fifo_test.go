@@ -312,3 +312,92 @@ func TestMixedFIFOCapacityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A mixed-clock link captured with slot releases still crossing the
+// full-flag synchronizer restores into a fresh link that behaves exactly
+// like the original: CanPut, CanGet and the delivered items agree edge by
+// edge with an unrestored twin driven by the same operations.
+func TestMixedFIFORestoreWithPendingFrees(t *testing.T) {
+	p := clock.NewDomain("p", 1000, 0, 1.65)
+	c := clock.NewDomain("c", 700, 300, 1.65)
+	orig := NewMixedClockFIFO[int]("x", p, c, 3, 2)
+	now := simtime.Time(0)
+	for i := 0; i < 3; i++ {
+		orig.Put(now, isa.Seq(i), i)
+	}
+	// Drain two items at consumer edges: their slots stay invisible to the
+	// producer for two producer edges.
+	now = 1700
+	for i := 0; i < 2; i++ {
+		if _, _, ok := orig.Get(now); !ok {
+			t.Fatalf("item %d not visible at %v", i, now)
+		}
+	}
+	st := CaptureLink(orig, func(v int) int { return v })
+	if len(st.FreeAt) != 2 {
+		t.Fatalf("captured %d pending frees, want 2", len(st.FreeAt))
+	}
+	twin := NewMixedClockFIFO[int]("x", p, c, 3, 2)
+	if err := RestoreLink(twin, st, func(v int) int { return v }); err != nil {
+		t.Fatal(err)
+	}
+	seq := isa.Seq(3)
+	for step := 0; step < 60; step++ {
+		now += 100
+		if a, b := orig.CanPut(now), twin.CanPut(now); a != b {
+			t.Fatalf("CanPut(%v): original %v, restored %v", now, a, b)
+		} else if a && step%3 == 0 {
+			orig.Put(now, seq, int(seq))
+			twin.Put(now, seq, int(seq))
+			seq++
+		}
+		if a, b := orig.CanGet(now), twin.CanGet(now); a != b {
+			t.Fatalf("CanGet(%v): original %v, restored %v", now, a, b)
+		} else if a && step%2 == 0 {
+			va, _, _ := orig.Get(now)
+			vb, _, _ := twin.Get(now)
+			if va != vb {
+				t.Fatalf("Get(%v): original %d, restored %d", now, va, vb)
+			}
+		}
+	}
+	if orig.Stats() != twin.Stats() {
+		t.Errorf("stats diverged: original %+v, restored %+v", orig.Stats(), twin.Stats())
+	}
+}
+
+// Restoring into a link that already holds entries is refused.
+func TestRestoreIntoNonEmptyLink(t *testing.T) {
+	clk := clock.NewDomain("c", ns, 0, 1.65)
+	l := NewSyncLatch[int]("latch", clk, 2)
+	l.Put(0, 1, 1)
+	if err := RestoreLink(l, LinkState[int]{}, func(v int) int { return v }); err == nil {
+		t.Error("restore into non-empty link accepted")
+	}
+}
+
+// Slot releases can become visible out of order: after the producer's clock
+// is retuned faster, a later dequeue's release crosses the synchronizer
+// before an earlier one's. The producer must see each freed slot at its own
+// time.
+func TestMixedFIFOFreesAfterProducerRetune(t *testing.T) {
+	p := clock.NewDomain("p", 1000, 0, 1.65)
+	p.SetSlowdown(3) // period 3000
+	c := clock.NewDomain("c", 1000, 500, 1.65)
+	f := NewMixedClockFIFO[int]("x", p, c, 2, 2)
+	f.Put(0, 1, 1)
+	f.Put(0, 2, 2)
+	f.Get(1500) // release visible at producer edges 3000, 6000: at 6000
+	p.Retune(3000, 1, 0)
+	f.Get(3500) // producer now edges every 1000: visible at 5000
+	if f.CanPut(4999) {
+		t.Error("slot visible before either release crossed the synchronizer")
+	}
+	if !f.CanPut(5000) {
+		t.Error("the later dequeue's earlier release not visible at 5000")
+	}
+	f.Put(5000, 3, 3)
+	if f.CanPut(5999) || !f.CanPut(6000) {
+		t.Error("the first dequeue's release not visible exactly at 6000")
+	}
+}

@@ -67,26 +67,23 @@ func (q *Queue) Insert(in *isa.Instr) {
 // returning the extended slice. Entries are kept in insertion order, which
 // is program order for a single dispatcher, so a simple scan yields
 // oldest-first selection. Passing a reused scratch slice as dst keeps the
-// per-cycle select allocation-free; nil is also accepted.
+// per-cycle select allocation-free; nil is also accepted. Entries are
+// compacted only behind the first one taken, so a cycle that issues
+// nothing writes nothing.
 func (q *Queue) SelectReady(dst []*isa.Instr, width int, ready ReadyFunc) []*isa.Instr {
-	if width <= 0 {
-		return dst
-	}
-	taken := 0
-	kept := q.entries[:0]
+	taken, kept := 0, 0
 	for _, in := range q.entries {
 		if taken < width && ready(in.PhysSrc[0]) && ready(in.PhysSrc[1]) {
 			dst = append(dst, in)
 			taken++
 			continue
 		}
-		kept = append(kept, in)
+		if taken > 0 {
+			q.entries[kept] = in
+		}
+		kept++
 	}
-	for i := len(kept); i < len(q.entries); i++ {
-		q.entries[i] = nil
-	}
-	q.entries = kept
-	q.issues += uint64(taken)
+	q.removeTaken(kept, taken)
 	return dst
 }
 
@@ -97,25 +94,32 @@ func (q *Queue) SelectReady(dst []*isa.Instr, width int, ready ReadyFunc) []*isa
 // store has not yet issued" — the hook the memory cluster's disambiguation
 // policies use.
 func (q *Queue) Scan(dst []*isa.Instr, width int, take func(*isa.Instr) bool) []*isa.Instr {
-	if width <= 0 {
-		return dst
-	}
-	taken := 0
-	kept := q.entries[:0]
+	taken, kept := 0, 0
 	for _, in := range q.entries {
 		if taken < width && take(in) {
 			dst = append(dst, in)
 			taken++
 			continue
 		}
-		kept = append(kept, in)
+		if taken > 0 {
+			q.entries[kept] = in
+		}
+		kept++
 	}
-	for i := len(kept); i < len(q.entries); i++ {
-		q.entries[i] = nil
-	}
-	q.entries = kept
-	q.issues += uint64(taken)
+	q.removeTaken(kept, taken)
 	return dst
+}
+
+// removeTaken finishes a selection pass that compacted the kept entries to
+// the front: it truncates the window to them and counts the issues. A
+// pass that took nothing moved nothing, so it touches no entry.
+func (q *Queue) removeTaken(kept, taken int) {
+	if taken == 0 {
+		return
+	}
+	clear(q.entries[kept:])
+	q.entries = q.entries[:kept]
+	q.issues += uint64(taken)
 }
 
 // FlushWrongPath removes entries matching the squash predicate and returns

@@ -51,7 +51,6 @@ var execDomains = []DomainID{DomInt, DomFP, DomMem}
 type Core struct {
 	cfg  Config
 	topo Topology
-	eng  *event.Engine
 	gen  workload.InstrSource
 	pred *bpred.Predictor
 	mem  *cache.Hierarchy
@@ -73,14 +72,14 @@ type Core struct {
 
 	// Links. decodeToRename is always a same-domain pipe latch; the rest are
 	// latches in base and mixed-clock FIFOs in GALS.
-	fetchToDecode  fifo.Link[*isa.Instr]
-	decodeToRename fifo.Link[*isa.Instr]
-	dispatch       [NumDomains]fifo.Link[*isa.Instr] // int/fp/mem slots used
-	complete       [NumDomains]fifo.Link[*isa.Instr] // int/fp/mem slots used
-	wakeIntToMem   fifo.Link[wakeTag]
-	wakeFPToMem    fifo.Link[wakeTag]
-	wakeMemToInt   fifo.Link[wakeTag]
-	wakeMemToFP    fifo.Link[wakeTag]
+	fetchToDecode  *fifo.Link[*isa.Instr]
+	decodeToRename *fifo.Link[*isa.Instr]
+	dispatch       [NumDomains]*fifo.Link[*isa.Instr] // int/fp/mem slots used
+	complete       [NumDomains]*fifo.Link[*isa.Instr] // int/fp/mem slots used
+	wakeIntToMem   *fifo.Link[wakeTag]
+	wakeFPToMem    *fifo.Link[wakeTag]
+	wakeMemToInt   *fifo.Link[wakeTag]
+	wakeMemToFP    *fifo.Link[wakeTag]
 
 	// readyAt[d][p] is the local time at or after which execution domain d
 	// may issue a consumer of physical register p.
@@ -92,9 +91,9 @@ type Core struct {
 	// wakeIn[d] lists the wakeup links domain d drains; wakeOut[d] lists the
 	// links a result computed in d must traverse (for DomMem the destination
 	// register file picks between wakeOutMemFP and wakeOut[DomMem]).
-	wakeIn    [NumDomains][]fifo.Link[wakeTag]
-	wakeOut   [NumDomains][]fifo.Link[wakeTag]
-	wakeOutFP []fifo.Link[wakeTag] // DomMem results destined for the FP file
+	wakeIn    [NumDomains][]*fifo.Link[wakeTag]
+	wakeOut   [NumDomains][]*fifo.Link[wakeTag]
+	wakeOutFP []*fifo.Link[wakeTag] // DomMem results destined for the FP file
 
 	// Per-cycle scratch, reused so the steady-state hot path is
 	// allocation-free.
@@ -141,18 +140,18 @@ type Core struct {
 	commitHook func(*isa.Instr)
 
 	// Snapshot triggers (SnapshotAt) and, on a restored core, the absolute
-	// tick-event schedule to resume from (see snapshot.go).
+	// edge schedule to resume from (see snapshot.go).
 	snapTargets   []uint64
 	snapFn        func(uint64, *CoreState)
 	restoreWhen   []simtime.Time
 	restorePeriod []simtime.Duration
 
-	// Dynamic DVFS controller state, the per-clock-domain periodic tick
-	// events it retunes, and the scalable-domain scan list.
-	dvfs       dvfsState
-	tickEvents []*event.Event
-	tickFns    []func(simtime.Time)
-	scalable   []int
+	// The clock domains' edge schedule and edge handlers, the dynamic DVFS
+	// controller state that retunes them, and the scalable-domain scan list.
+	edges    event.Table
+	tickFns  []func(simtime.Time)
+	dvfs     dvfsState
+	scalable []int
 
 	// Interval sampler state (Config.SampleInterval > 0 only).
 	smp samplerState
@@ -237,7 +236,6 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 	c := &Core{
 		cfg:  cfg,
 		topo: cfg.topo(),
-		eng:  event.NewEngine(),
 		gen:  src,
 		pred: bpred.New(cfg.Bpred),
 		mem:  cache.NewHierarchy(cfg.Caches),
@@ -292,13 +290,13 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 // squash callbacks, and sizes the reusable selection buffers — everything
 // the steady-state loop would otherwise allocate.
 func (c *Core) buildScratch() {
-	c.wakeIn[DomInt] = []fifo.Link[wakeTag]{c.wakeMemToInt}
-	c.wakeIn[DomFP] = []fifo.Link[wakeTag]{c.wakeMemToFP}
-	c.wakeIn[DomMem] = []fifo.Link[wakeTag]{c.wakeIntToMem, c.wakeFPToMem}
-	c.wakeOut[DomInt] = []fifo.Link[wakeTag]{c.wakeIntToMem}
-	c.wakeOut[DomFP] = []fifo.Link[wakeTag]{c.wakeFPToMem}
-	c.wakeOut[DomMem] = []fifo.Link[wakeTag]{c.wakeMemToInt}
-	c.wakeOutFP = []fifo.Link[wakeTag]{c.wakeMemToFP}
+	c.wakeIn[DomInt] = []*fifo.Link[wakeTag]{c.wakeMemToInt}
+	c.wakeIn[DomFP] = []*fifo.Link[wakeTag]{c.wakeMemToFP}
+	c.wakeIn[DomMem] = []*fifo.Link[wakeTag]{c.wakeIntToMem, c.wakeFPToMem}
+	c.wakeOut[DomInt] = []*fifo.Link[wakeTag]{c.wakeIntToMem}
+	c.wakeOut[DomFP] = []*fifo.Link[wakeTag]{c.wakeFPToMem}
+	c.wakeOut[DomMem] = []*fifo.Link[wakeTag]{c.wakeMemToInt}
+	c.wakeOutFP = []*fifo.Link[wakeTag]{c.wakeMemToFP}
 
 	maxWidth := c.cfg.IntIssueWidth
 	if c.cfg.FPIssueWidth > maxWidth {
@@ -443,7 +441,7 @@ func (c *Core) buildLinks() {
 	if stretchWidth == 0 {
 		stretchWidth = 4
 	}
-	instrLink := func(name string, from, to DomainID, class LinkClass) fifo.Link[*isa.Instr] {
+	instrLink := func(name string, from, to DomainID, class LinkClass) *fifo.Link[*isa.Instr] {
 		switch {
 		case !c.topo.Cross(from, to):
 			return fifo.NewSyncLatch[*isa.Instr](name, c.clocks[from], capOf(class, c.cfg.LatchCapacity))
@@ -455,7 +453,7 @@ func (c *Core) buildLinks() {
 				capOf(class, c.cfg.FIFOCapacity), edges(class))
 		}
 	}
-	wakeLink := func(name string, from, to DomainID) fifo.Link[wakeTag] {
+	wakeLink := func(name string, from, to DomainID) *fifo.Link[wakeTag] {
 		switch {
 		case !c.topo.Cross(from, to):
 			return fifo.NewSyncLatch[wakeTag](name, c.clocks[from], capOf(LinkClassWakeup, 2*c.cfg.FIFOCapacity))
@@ -700,6 +698,10 @@ func (c *Core) domainTick(g int) func(simtime.Time) {
 			c.stageDrainCompletions(now)
 		}
 		for _, d := range execs {
+			if c.execIdle(d) {
+				c.exec[d].queue.Tick() // the only stage work an idle domain has
+				continue
+			}
 			c.stageComplete(d, now)
 			c.stageDrainWakeups(d, now)
 			c.stageDrainDispatch(d, now)
@@ -724,6 +726,23 @@ func (c *Core) domainTick(g int) func(simtime.Time) {
 	}
 }
 
+// execIdle reports whether execution domain d has nothing in flight,
+// nothing queued and nothing arriving — no in-flight op, an empty issue
+// queue, and empty dispatch and wakeup links — so its stages would only
+// sample the queue's occupancy.
+func (c *Core) execIdle(d DomainID) bool {
+	u := c.exec[d]
+	if len(u.inflight) != 0 || u.queue.Len() != 0 || c.dispatch[d].Len() != 0 {
+		return false
+	}
+	for _, l := range c.wakeIn[d] {
+		if l.Len() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Run simulates until n instructions have committed and returns the
 // statistics. Run may be called once per Core.
 func (c *Core) Run(n uint64) Stats {
@@ -746,26 +765,28 @@ func (c *Core) Run(n uint64) Stats {
 		}
 	}
 
-	// Priorities order simultaneous edges commit-side first; any fixed
-	// order is legal for truly asynchronous clocks.
-	prio := c.topo.priorities()
-	c.tickEvents = make([]*event.Event, len(c.domClocks))
 	c.tickFns = make([]func(simtime.Time), len(c.domClocks))
 	for g := range c.domClocks {
 		c.tickFns[g] = c.domainTick(g)
 	}
-	for g, dc := range c.domClocks {
-		start, period := dc.Phase(), dc.Period()
-		if c.restoreWhen != nil {
-			// Restored core: resume the captured absolute event schedule
-			// instead of starting each clock at its initial phase.
-			start, period = c.restoreWhen[g], c.restorePeriod[g]
+	// A restored core resumes the captured absolute edge schedule; a fresh
+	// one starts each clock at its initial phase.
+	when, period := c.restoreWhen, c.restorePeriod
+	if when == nil {
+		when = make([]simtime.Time, len(c.domClocks))
+		period = make([]simtime.Duration, len(c.domClocks))
+		for g, dc := range c.domClocks {
+			when[g], period[g] = dc.Phase(), dc.Period()
 		}
-		c.tickEvents[g] = c.eng.SchedulePeriodic(start, period, prio[g],
-			dc.Name()+"-clock", c.tickFns[g])
 	}
+	// Priorities order simultaneous edges commit-side first; any fixed
+	// order is legal for truly asynchronous clocks.
+	c.edges = event.Table{When: when, Period: period, Prio: c.topo.priorities()}
 
-	c.eng.Run()
+	for !c.done {
+		g, now := c.edges.Advance()
+		c.tickFns[g](now)
+	}
 	c.finalize()
 	return c.stats
 }

@@ -187,8 +187,8 @@ func (c *Core) dvfsController() {
 }
 
 // maybeRetune applies a pending frequency/voltage change to clock domain g
-// at one of its own clock edges (now). The periodic tick event is
-// rescheduled to the new period, and the clock itself is rebased so that
+// at one of its own clock edges (now). The domain's next edge is
+// rescheduled at the new period, and the clock itself is rebased so that
 // edge arithmetic (FIFO synchronizers, squash observation) follows the new
 // regime.
 func (c *Core) maybeRetune(g int, now simtime.Time) {
@@ -207,11 +207,7 @@ func (c *Core) maybeRetune(g int, now simtime.Time) {
 		c.tl.retune(c, g, now, slow)
 	}
 
-	// Replace the domain's tick event: the old one was already rescheduled
-	// with the previous period when it fired.
-	if ev := c.tickEvents[g]; ev != nil {
-		c.eng.Cancel(ev)
-		c.tickEvents[g] = c.eng.SchedulePeriodic(now+c.domClocks[g].Period(), c.domClocks[g].Period(),
-			ev.Priority(), ev.Name(), c.tickFns[g])
-	}
+	// Replace the domain's next edge: the table already rescheduled it with
+	// the previous period when it fired.
+	c.edges.SetPeriod(g, now, c.domClocks[g].Period())
 }

@@ -3,15 +3,14 @@ package pipeline
 // Full-machine snapshot capture and restore.
 //
 // A snapshot is taken at the instant a decode-domain clock edge begins,
-// before any of that edge's stages execute — a decode-cycle boundary. At
-// that point the event queue holds exactly one periodic tick event per clock
-// domain, so the machine's complete dynamic state is: every architectural
-// structure (ROB, issue queues, rename table, predictor, caches, power
-// meter), every link's contents, the in-flight instruction records, the
-// clock and DVFS controller state, the workload source's position, and each
-// tick event's next firing time. Restoring schedules the tick events at
-// their captured absolute times; the firing decode event is recorded at the
-// capture instant itself (the engine reschedules a periodic event before
+// before any of that edge's stages execute — a decode-cycle boundary. The
+// machine's complete dynamic state is then: every architectural structure
+// (ROB, issue queues, rename table, predictor, caches, power meter), every
+// link's contents, the in-flight instruction records, the clock and DVFS
+// controller state, the workload source's position, and each clock
+// domain's next edge in the edge table (event.Table). Restoring resumes the
+// table at the captured absolute times; the firing decode edge is recorded
+// at the capture instant itself (the table reschedules a domain before
 // invoking its handler, so at capture time its own entry already points one
 // period ahead — the restored run must re-execute that edge in full).
 //
@@ -188,7 +187,7 @@ func (c *Core) maybeSnapshot(g int, now simtime.Time) {
 }
 
 // captureState serializes the machine. firing is the clock group whose edge
-// is currently being processed; its tick event was already rescheduled one
+// is currently being processed; its next edge was already rescheduled one
 // period ahead, so its captured firing time is now itself.
 func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	snapSrc, ok := c.gen.(workload.Snapshotter)
@@ -220,22 +219,12 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	}
 
 	st.ROB = c.rob.CaptureState(index)
-	if st.FetchToDecode, err = fifo.CaptureLink(c.fetchToDecode, instrConv); err != nil {
-		return nil, err
-	}
-	if st.DecodeToRename, err = fifo.CaptureLink(c.decodeToRename, instrConv); err != nil {
-		return nil, err
-	}
+	st.FetchToDecode = fifo.CaptureLink(c.fetchToDecode, instrConv)
+	st.DecodeToRename = fifo.CaptureLink(c.decodeToRename, instrConv)
 	for _, d := range execDomains {
-		ds, err := fifo.CaptureLink(c.dispatch[d], instrConv)
-		if err != nil {
-			return nil, err
-		}
+		ds := fifo.CaptureLink(c.dispatch[d], instrConv)
 		st.Dispatch[d] = &ds
-		cs, err := fifo.CaptureLink(c.complete[d], instrConv)
-		if err != nil {
-			return nil, err
-		}
+		cs := fifo.CaptureLink(c.complete[d], instrConv)
 		st.Complete[d] = &cs
 		u := c.exec[d]
 		es := &ExecUnitState{
@@ -247,18 +236,10 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 		}
 		st.Exec[d] = es
 	}
-	if st.WakeIntToMem, err = fifo.CaptureLink(c.wakeIntToMem, tagConv); err != nil {
-		return nil, err
-	}
-	if st.WakeFPToMem, err = fifo.CaptureLink(c.wakeFPToMem, tagConv); err != nil {
-		return nil, err
-	}
-	if st.WakeMemToInt, err = fifo.CaptureLink(c.wakeMemToInt, tagConv); err != nil {
-		return nil, err
-	}
-	if st.WakeMemToFP, err = fifo.CaptureLink(c.wakeMemToFP, tagConv); err != nil {
-		return nil, err
-	}
+	st.WakeIntToMem = fifo.CaptureLink(c.wakeIntToMem, tagConv)
+	st.WakeFPToMem = fifo.CaptureLink(c.wakeFPToMem, tagConv)
+	st.WakeMemToInt = fifo.CaptureLink(c.wakeMemToInt, tagConv)
+	st.WakeMemToFP = fifo.CaptureLink(c.wakeMemToFP, tagConv)
 	for d := range c.readyAt {
 		st.ReadyAt[d] = append([]simtime.Time(nil), c.readyAt[d]...)
 	}
@@ -268,8 +249,8 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	st.TickPeriod = make([]simtime.Duration, len(c.domClocks))
 	for g, dc := range c.domClocks {
 		st.Clocks[g] = dc.State()
-		st.TickWhen[g] = c.tickEvents[g].When()
-		st.TickPeriod[g] = c.tickEvents[g].Period()
+		st.TickWhen[g] = c.edges.When[g]
+		st.TickPeriod[g] = c.edges.Period[g]
 	}
 	st.TickWhen[firing] = now
 

@@ -39,11 +39,17 @@ type staticInstr struct {
 	// Memory fields.
 	seqStream bool // streams sequentially vs. random within the working set
 
+	// ok marks a materialized slot; the program slice is zero-filled ahead
+	// of first touch.
+	ok bool
+
 	// Dynamic ground-truth state of a static branch (advanced only by the
 	// correct-path walk). Folded into the static record so branch outcome
-	// tracking needs no separate map.
-	loopCount int
+	// tracking needs no separate map. loopCount never exceeds
+	// Profile.LoopLength (at most 1<<24): 32 bits hold it, and placed last
+	// they keep the record at 24 bytes.
 	lastTaken bool
+	loopCount int32
 }
 
 // Generator produces the dynamic instruction stream of one benchmark run.
@@ -59,9 +65,10 @@ type Generator struct {
 	rngSrc *countingSource
 	wpSrc  *countingSource
 
-	program   map[uint64]*staticInstr
-	siChunks  [][]staticInstr // slab storage behind program (stable pointers)
-	classTile []isa.Class     // class layout pattern, indexed by (pc/4) % len
+	// program is the static program, one record per instruction slot of
+	// the code footprint, indexed by (pc-CodeBase)>>2.
+	program   []staticInstr
+	classTile []isa.Class // class layout pattern, indexed by (pc/4) % len
 
 	// Correct-path walk state.
 	pc uint64
@@ -101,15 +108,13 @@ func NewGenerator(p Profile, seed int64) *Generator {
 	rngSrc := newCountingSource(seed)
 	wpSrc := newCountingSource(seed ^ 0x5DEECE66D)
 	g := &Generator{
-		prof:   p,
-		seed:   seed,
-		rng:    rand.New(rngSrc),
-		wp:     rand.New(wpSrc),
-		rngSrc: rngSrc,
-		wpSrc:  wpSrc,
-		// Pre-size for the full static program so steady-state
-		// materialization does not grow the table.
-		program: make(map[uint64]*staticInstr, p.CodeFootprint/4),
+		prof:    p,
+		seed:    seed,
+		rng:     rand.New(rngSrc),
+		wp:      rand.New(wpSrc),
+		rngSrc:  rngSrc,
+		wpSrc:   wpSrc,
+		program: make([]staticInstr, p.CodeFootprint>>2),
 		pc:      CodeBase,
 	}
 	// Seed the recency rings so early instructions have producers to name.
@@ -244,13 +249,15 @@ func (g *Generator) staticRng(pc uint64) *staticRand {
 }
 
 // materialize returns the static instruction at pc, creating it on first
-// visit.
+// visit. Every PC the walks produce is a 4-aligned address inside the code
+// footprint (Profile.Validate requires a 4-aligned footprint).
 func (g *Generator) materialize(pc uint64) *staticInstr {
-	if si, ok := g.program[pc]; ok {
+	si := &g.program[(pc-CodeBase)>>2]
+	if si.ok {
 		return si
 	}
+	si.ok = true
 	rng := g.staticRng(pc)
-	si := g.newStatic()
 	si.class = g.classAt(pc)
 	switch si.class {
 	case isa.ClassBranch:
@@ -305,7 +312,6 @@ func (g *Generator) materialize(pc uint64) *staticInstr {
 		si.dest = g.nextIntDest()
 		g.pushRecent(si.dest)
 	}
-	g.program[pc] = si
 	return si
 }
 
@@ -376,7 +382,7 @@ func (g *Generator) outcome(pc uint64, si *staticInstr) bool {
 		return !si.biasedTaken
 	case patLoop:
 		si.loopCount++
-		if si.loopCount >= g.prof.LoopLength {
+		if int(si.loopCount) >= g.prof.LoopLength {
 			si.loopCount = 0
 			return false // exit the loop
 		}
@@ -593,20 +599,4 @@ func (r *regRing) push(reg isa.Reg) {
 	if r.head == len(r.buf) {
 		r.head = 0
 	}
-}
-
-// siChunkLen is the slab growth quantum for static-instruction storage.
-const siChunkLen = 256
-
-// newStatic hands out one zeroed static-instruction record from the slab.
-// Records are stored in fixed-size chunks (never reallocated), so pointers
-// held by the program map stay stable while amortizing allocation to one
-// per siChunkLen materializations.
-func (g *Generator) newStatic() *staticInstr {
-	if n := len(g.siChunks); n == 0 || len(g.siChunks[n-1]) == cap(g.siChunks[n-1]) {
-		g.siChunks = append(g.siChunks, make([]staticInstr, 0, siChunkLen))
-	}
-	c := &g.siChunks[len(g.siChunks)-1]
-	*c = append(*c, staticInstr{})
-	return &(*c)[len(*c)-1]
 }

@@ -111,6 +111,8 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("workload: %s: code footprint %d too small", p.Name, p.CodeFootprint)
 	case p.CodeFootprint > maxFootprint:
 		return fmt.Errorf("workload: %s: code footprint %d above the %d limit", p.Name, p.CodeFootprint, maxFootprint)
+	case p.CodeFootprint%4 != 0:
+		return fmt.Errorf("workload: %s: code footprint %d not a whole number of 4-byte instructions", p.Name, p.CodeFootprint)
 	case absf(p.Patterns.Sum()-1) > 1e-6:
 		return fmt.Errorf("workload: %s: branch patterns sum to %v != 1", p.Name, p.Patterns.Sum())
 	case p.LoopLength < 2:

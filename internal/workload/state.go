@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"galsim/internal/isa"
 )
@@ -123,17 +122,15 @@ func (g *Generator) CaptureState() GeneratorState {
 	for i := 0; i < g.recentFP.len(); i++ {
 		st.RecentFP = append(st.RecentFP, g.recentFP.at(i))
 	}
-	pcs := make([]uint64, 0, len(g.program))
-	for pc := range g.program {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	for _, pc := range pcs {
-		si := g.program[pc]
+	for i := range g.program {
+		si := &g.program[i]
+		if !si.ok {
+			continue
+		}
 		st.Program = append(st.Program, StaticInstrState{
-			PC: pc, Class: si.class, Dest: si.dest, Src: si.src,
+			PC: CodeBase + uint64(i)<<2, Class: si.class, Dest: si.dest, Src: si.src,
 			Pattern: uint8(si.pattern), Target: si.target, BiasedTaken: si.biasedTaken,
-			SeqStream: si.seqStream, LoopCount: si.loopCount, LastTaken: si.lastTaken,
+			SeqStream: si.seqStream, LoopCount: int(si.loopCount), LastTaken: si.lastTaken,
 		})
 	}
 	return st
@@ -142,7 +139,7 @@ func (g *Generator) CaptureState() GeneratorState {
 // RestoreState reinstates a captured state into this generator, which must
 // be freshly constructed with the same (Profile, seed) pair.
 func (g *Generator) RestoreState(st GeneratorState) error {
-	if g.generated != 0 || g.wrongGen != 0 || len(g.program) != 0 {
+	if g.generated != 0 || g.wrongGen != 0 {
 		return fmt.Errorf("workload: restore into generator that has already produced instructions")
 	}
 	if len(st.RecentInt) > recentWindow || len(st.RecentFP) > recentWindow {
@@ -156,7 +153,15 @@ func (g *Generator) RestoreState(st GeneratorState) error {
 		return err
 	}
 	for _, ss := range st.Program {
-		si := g.newStatic()
+		if ss.PC < CodeBase || ss.PC >= g.codeEnd() || ss.PC&3 != 0 {
+			return fmt.Errorf("workload: restored static instruction at pc %#x outside the 4-aligned code range [%#x, %#x)",
+				ss.PC, CodeBase, g.codeEnd())
+		}
+		if ss.LoopCount < 0 || ss.LoopCount > g.prof.LoopLength {
+			return fmt.Errorf("workload: restored loop count %d at pc %#x outside [0, %d]", ss.LoopCount, ss.PC, g.prof.LoopLength)
+		}
+		si := &g.program[(ss.PC-CodeBase)>>2]
+		si.ok = true
 		si.class = ss.Class
 		si.dest = ss.Dest
 		si.src = ss.Src
@@ -164,9 +169,8 @@ func (g *Generator) RestoreState(st GeneratorState) error {
 		si.target = ss.Target
 		si.biasedTaken = ss.BiasedTaken
 		si.seqStream = ss.SeqStream
-		si.loopCount = ss.LoopCount
+		si.loopCount = int32(ss.LoopCount)
 		si.lastTaken = ss.LastTaken
-		g.program[ss.PC] = si
 	}
 	g.recentInt = regRing{}
 	for _, r := range st.RecentInt {
