@@ -22,16 +22,11 @@
 //     detached versus attached in flight-recorder detail mode, the cost a
 //     fleet worker pays on traced jobs (timeline_regression; the PR 7
 //     acceptance bound is <= 5%);
-//   - sweep/grid-cold and sweep/grid-warm: a convergence-grid sweep (three
-//     budgets per operating point) without and with warm-up snapshot
-//     sharing, the PR 9 wall-clock win (warm_sharing_speedup in the
-//     report);
 //   - snapshot/encode and snapshot/decode: envelope round-trip cost of a
 //     warmed full-machine snapshot, the per-checkpoint price a fleet
 //     worker pays on long jobs;
-//   - explore/evolve-cold and explore/evolve-warm: a seeded evolutionary
-//     design-space search (galsim-explore's engine) on a cold engine,
-//     without and with warm-up prefix sharing, reported as candidate
+//   - explore/evolve-cold: a seeded evolutionary design-space search
+//     (galsim-explore's engine) on a cold engine, reported as candidate
 //     evaluations per second plus the generation cache-hit rate (the
 //     fraction of sweep units served from the content-addressed cache —
 //     duplicate mutants and builtin-equal candidates are free).
@@ -122,19 +117,6 @@ type Report struct {
 	// cache (duplicate mutants and builtin-equal candidates are free).
 	ExploreEvalsPerSec  float64 `json:"explore_evals_per_sec,omitempty"`
 	ExploreCacheHitRate float64 `json:"explore_cache_hit_rate,omitempty"`
-
-	// ExploreWarmSharingRatio is explore/evolve-warm evals/s over
-	// explore/evolve-cold evals/s: search throughput with warm-up prefix
-	// sharing enabled versus without. Distinct candidate machines never
-	// share a warm prefix, so a value near 1.0 is the expected result —
-	// it verifies the warm path costs nothing when it cannot share.
-	ExploreWarmSharingRatio float64 `json:"explore_warm_sharing_ratio,omitempty"`
-
-	// WarmSharingSpeedup is sweep/grid-warm throughput over sweep/grid-cold
-	// throughput: how much faster a convergence-grid sweep gets when grid
-	// points sharing a workload prefix fork one warmed snapshot instead of
-	// each re-simulating the warm-up. > 1 means sharing pays.
-	WarmSharingSpeedup float64 `json:"warm_sharing_speedup,omitempty"`
 
 	// Baseline, when present, is the report this run is compared against;
 	// Speedup and AllocReduction are keyed by benchmark name.
@@ -254,49 +236,13 @@ func benchSweep(instrs uint64) func(b *testing.B) {
 	}
 }
 
-// benchSweepGrid is the warm-sharing pair: a convergence-grid sweep (three
-// instruction budgets per operating point) run cold versus with Warmup set,
-// where budgets sharing a prefix fork one warmed snapshot. Both report
-// throughput against the nominal (cold) instruction total, so the warm run's
-// sim-instrs/s directly reflects the wall-clock saved by sharing. The warm-up
-// has to dominate the snapshot round-trip (~12ms encode+decode at these
-// machine sizes, see snapshot/encode and snapshot/decode) for sharing to
-// pay, so this benchmark uses convergence-study-sized budgets; at short
-// warm-ups sharing is a net loss, which the -warmup flag lets you measure.
-func benchSweepGrid(warmup uint64) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		sweep := campaign.Sweep{
-			Benchmarks:       []string{"gcc", "swim"},
-			Machines:         []string{"base", "gals"},
-			InstructionsGrid: []uint64{30_000, 36_000, 42_000},
-			Warmup:           warmup,
-		}
-		var nominal float64
-		for _, n := range sweep.InstructionsGrid {
-			nominal += float64(n) * float64(len(sweep.Benchmarks)*len(sweep.Machines))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e := campaign.NewEngine(1) // fresh engine: cold cache, serial
-			if _, err := e.RunSweep(context.Background(), sweep); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(nominal*float64(b.N)/b.Elapsed().Seconds(), "sim-instrs/s")
-	}
-}
-
-// benchExplore is the design-space-search pair: a seeded evolutionary
-// search (the galsim-explore engine) scored on a fresh serial campaign
-// engine per iteration, without and with warm-up prefix sharing. It
-// reports candidate evaluations per second and the generation cache-hit
-// rate — the fraction of sweep units served from the content-addressed
-// cache, where duplicate mutants and builtin-equal candidates become
-// free. The warm variant sets Sweep.Warmup on every generation; distinct
-// candidate machines never share a warm prefix, so its evals/s should
-// track the cold variant's (see Report.ExploreWarmSharingRatio).
-func benchExplore(warmup uint64) func(b *testing.B) {
+// benchExplore is a seeded evolutionary design-space search (the
+// galsim-explore engine) scored on a fresh serial campaign engine per
+// iteration. It reports candidate evaluations per second and the
+// generation cache-hit rate — the fraction of sweep units served from the
+// content-addressed cache, where duplicate mutants and builtin-equal
+// candidates become free.
+func benchExplore() func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		spec := explore.SearchSpec{
@@ -305,7 +251,6 @@ func benchExplore(warmup uint64) func(b *testing.B) {
 			Strategy:     explore.StrategyEvolutionary,
 			Workloads:    []string{"gcc"},
 			Instructions: 4_000,
-			Warmup:       warmup,
 			Budget:       explore.BudgetSpec{Population: 6, MaxGenerations: 3},
 		}
 		var evals, units, hits int
@@ -366,8 +311,7 @@ func benchSnapshotEncode(instrs uint64) func(b *testing.B) {
 }
 
 // benchSnapshotDecode measures envelope validation plus state decode — the
-// restore-side cost paid when a follower forks a shared warm snapshot or a
-// worker resumes a checkpointed job.
+// restore-side cost paid when a worker resumes a checkpointed job.
 func benchSnapshotDecode(instrs uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -396,7 +340,6 @@ func main() {
 		instrs    = flag.Uint64("n", 20_000, "instructions per throughput run")
 		sweepN    = flag.Uint64("sweep-n", 4_000, "instructions per sweep unit")
 		sampleIvl = flag.Uint64("sample-interval", 1_000, "decode-cycle interval for the sampler/on benchmark")
-		warmup    = flag.Uint64("warmup", 24_000, "warm-up prefix for the sweep/grid-warm benchmark (must stay below the smallest grid budget, 30000)")
 		repeat    = flag.Int("repeat", 3, "runs per benchmark; the fastest is recorded (best-of-N damps scheduler noise)")
 	)
 	flag.Parse()
@@ -431,12 +374,9 @@ func main() {
 		{"sampler/on", "gals", benchSampler(*sampleIvl, *instrs)},
 		{"timeline/off", "gals", benchTimeline(false, *instrs)},
 		{"timeline/on", "gals", benchTimeline(true, *instrs)},
-		{"sweep/grid-cold", "", benchSweepGrid(0)},
-		{"sweep/grid-warm", "", benchSweepGrid(*warmup)},
 		{"snapshot/encode", "gals", benchSnapshotEncode(*instrs)},
 		{"snapshot/decode", "gals", benchSnapshotDecode(*instrs)},
-		{"explore/evolve-cold", "", benchExplore(0)},
-		{"explore/evolve-warm", "", benchExplore(2_000)},
+		{"explore/evolve-cold", "", benchExplore()},
 	}
 	if *repeat < 1 {
 		*repeat = 1
@@ -463,8 +403,7 @@ func main() {
 			m.Name, m.Iterations, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp, m.SimInstrsPerSec)
 		rep.Benchmarks = append(rep.Benchmarks, m)
 	}
-	var samplerOff, samplerOn, tlOff, tlOn, gridCold, gridWarm float64
-	var exploreCold, exploreWarm float64
+	var samplerOff, samplerOn, tlOff, tlOn float64
 	for _, m := range rep.Benchmarks {
 		switch m.Name {
 		case "sampler/off":
@@ -475,16 +414,9 @@ func main() {
 			tlOff = m.SimInstrsPerSec
 		case "timeline/on":
 			tlOn = m.SimInstrsPerSec
-		case "sweep/grid-cold":
-			gridCold = m.SimInstrsPerSec
-		case "sweep/grid-warm":
-			gridWarm = m.SimInstrsPerSec
 		case "explore/evolve-cold":
-			exploreCold = m.EvalsPerSec
 			rep.ExploreEvalsPerSec = m.EvalsPerSec
 			rep.ExploreCacheHitRate = m.CacheHitRate
-		case "explore/evolve-warm":
-			exploreWarm = m.EvalsPerSec
 		}
 	}
 	if samplerOff > 0 {
@@ -495,14 +427,9 @@ func main() {
 		rep.TimelineRegression = 1 - tlOn/tlOff
 		fmt.Fprintf(os.Stderr, "timeline regression: %.2f%%\n", 100*rep.TimelineRegression)
 	}
-	if gridCold > 0 {
-		rep.WarmSharingSpeedup = gridWarm / gridCold
-		fmt.Fprintf(os.Stderr, "warm sharing speedup: %.2fx\n", rep.WarmSharingSpeedup)
-	}
-	if exploreCold > 0 {
-		rep.ExploreWarmSharingRatio = exploreWarm / exploreCold
-		fmt.Fprintf(os.Stderr, "explore: %.1f evals/s, cache-hit rate %.2f, warm/cold ratio %.2fx\n",
-			rep.ExploreEvalsPerSec, rep.ExploreCacheHitRate, rep.ExploreWarmSharingRatio)
+	if rep.ExploreEvalsPerSec > 0 {
+		fmt.Fprintf(os.Stderr, "explore: %.1f evals/s, cache-hit rate %.2f\n",
+			rep.ExploreEvalsPerSec, rep.ExploreCacheHitRate)
 	}
 
 	if *baseline != "" {

@@ -540,35 +540,21 @@ func LocalBackend() Backend { return campaign.Shared() }
 // promptly and returns the context's error. Options.OnCommit is not
 // supported (per-instruction tracing is inherently serial; use Run).
 func RunMany(ctx context.Context, opts []Options) ([]Result, error) {
-	return RunManyOn(ctx, campaign.Shared(), opts)
+	return RunManyOn(ctx, campaign.Shared(), opts, nil)
 }
 
-// RunManyOn is RunMany on an explicit execution backend. Within this
-// module the two backends are LocalBackend (the shared engine — RunMany's
-// substrate) and the cluster coordinator used by cmd/galsim-fleet, which
-// fans the batch out across a galsimd worker fleet; external callers
-// wanting distributed execution should drive a galsim-fleet coordinator's
-// HTTP API instead. Results arrive in input order either way,
-// byte-identical across backends.
-func RunManyOn(ctx context.Context, b Backend, opts []Options) ([]Result, error) {
-	return RunManyProgressOn(ctx, b, opts, nil)
-}
-
-// RunManyProgress is RunMany with live progress reporting: fn (when non-nil)
+// RunManyOn is RunMany on an explicit execution backend with live progress
+// reporting. Within this module the two backends are LocalBackend (the
+// shared engine — RunMany's substrate) and the cluster coordinator used by
+// cmd/galsim-fleet, which fans the batch out across a galsimd worker fleet;
+// external callers wanting distributed execution should drive a
+// galsim-fleet coordinator's HTTP API instead. Results arrive in input
+// order either way, byte-identical across backends. fn, when non-nil,
 // receives a snapshot after every finished unit — completed, failed and
-// cache-served counts out of the batch total. fn is called from worker
-// goroutines and must be safe for concurrent use.
-func RunManyProgress(ctx context.Context, opts []Options, fn ProgressFunc) ([]Result, error) {
-	return RunManyProgressOn(ctx, campaign.Shared(), opts, fn)
-}
-
-// RunManyProgressOn is RunManyProgress on an explicit execution backend.
-// Backends without native progress support still work: fn then receives a
-// single terminal snapshot.
-func RunManyProgressOn(ctx context.Context, b Backend, opts []Options, fn ProgressFunc) ([]Result, error) {
-	if len(opts) == 0 {
-		return nil, nil
-	}
+// cache-served counts out of the batch total — and the zero Progress for an
+// empty batch. fn is called from worker goroutines and must be safe for
+// concurrent use.
+func RunManyOn(ctx context.Context, b Backend, opts []Options, fn ProgressFunc) ([]Result, error) {
 	specs := make([]campaign.RunSpec, len(opts))
 	for i, o := range opts {
 		if o.OnCommit != nil {
@@ -589,8 +575,8 @@ func RunManyProgressOn(ctx context.Context, b Backend, opts []Options, fn Progre
 		}
 		specs[i] = spec
 	}
-	stats, err := campaign.RunAllOn(ctx, b, specs, fn)
-	if err != nil {
+	stats, err := b.RunAllProgress(ctx, specs, fn)
+	if err != nil || len(opts) == 0 {
 		return nil, err
 	}
 	results := make([]Result, len(opts))

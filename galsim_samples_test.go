@@ -72,9 +72,9 @@ func TestRunWithSampling(t *testing.T) {
 	}
 }
 
-// TestRunManyProgress: the progress callback covers the whole batch and
+// TestRunManyOnProgress: the progress callback covers the whole batch and
 // reports the duplicate option set as a cache hit.
-func TestRunManyProgress(t *testing.T) {
+func TestRunManyOnProgress(t *testing.T) {
 	opts := []galsim.Options{
 		{Benchmark: "gcc", Instructions: 2_000},
 		{Benchmark: "swim", Instructions: 2_000},
@@ -85,7 +85,7 @@ func TestRunManyProgress(t *testing.T) {
 		last galsim.Progress
 		n    int
 	)
-	results, err := galsim.RunManyProgress(context.Background(), opts, func(p galsim.Progress) {
+	results, err := galsim.RunManyOn(context.Background(), galsim.LocalBackend(), opts, func(p galsim.Progress) {
 		mu.Lock()
 		last = p
 		n++
@@ -105,5 +105,19 @@ func TestRunManyProgress(t *testing.T) {
 	}
 	if last.CacheHits == 0 {
 		t.Errorf("duplicate options produced no cache hit: %+v", last)
+	}
+}
+
+// TestRunManyOnEmptyBatchProgress: an empty batch still delivers the
+// terminal zero Progress, as every backend does for an empty RunAllProgress.
+func TestRunManyOnEmptyBatchProgress(t *testing.T) {
+	var snaps []galsim.Progress
+	results, err := galsim.RunManyOn(context.Background(), galsim.LocalBackend(), nil,
+		func(p galsim.Progress) { snaps = append(snaps, p) })
+	if err != nil || len(results) != 0 {
+		t.Fatalf("empty batch: results %v, err %v", results, err)
+	}
+	if len(snaps) != 1 || snaps[0] != (galsim.Progress{}) {
+		t.Errorf("empty batch progress = %+v, want exactly one zero Progress", snaps)
 	}
 }

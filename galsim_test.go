@@ -242,7 +242,7 @@ func TestRunManyOnLocalBackend(t *testing.T) {
 		{Benchmark: "gcc", Instructions: 6_000},
 		{Benchmark: "gcc", Machine: GALS, Instructions: 6_000},
 	}
-	viaBackend, err := RunManyOn(context.Background(), LocalBackend(), opts)
+	viaBackend, err := RunManyOn(context.Background(), LocalBackend(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,10 +59,12 @@ func PriorityOf(ctx context.Context) Priority {
 // byte-identical regardless of scheduling, worker count, or retries — which
 // the differential tests in internal/cluster enforce.
 //
-// Implementations must be safe for concurrent use and must honour ctx
-// cancellation by returning promptly with the context's error.
+// fn, when non-nil, receives a monotone Progress snapshot as units finish;
+// an empty batch delivers the zero Progress. Implementations must be safe for concurrent
+// use and must honour ctx cancellation by returning promptly with the
+// context's error.
 type Backend interface {
-	RunAll(ctx context.Context, specs []RunSpec) ([]pipeline.Stats, error)
+	RunAllProgress(ctx context.Context, specs []RunSpec, fn ProgressFunc) ([]pipeline.Stats, error)
 }
 
 // Progress is a point-in-time view of a batch execution. Completed counts
@@ -85,48 +87,5 @@ type Progress struct {
 // long; it must not call back into the backend.
 type ProgressFunc func(Progress)
 
-// ProgressBackend is optionally implemented by backends that can report
-// per-unit completion while a batch runs. Both the local Engine and the
-// cluster Coordinator implement it; the base Backend interface stays
-// unchanged so third-party backends keep working.
-type ProgressBackend interface {
-	Backend
-	RunAllProgress(ctx context.Context, specs []RunSpec, fn ProgressFunc) ([]pipeline.Stats, error)
-}
-
-// WarmBackend is optionally implemented by backends that can share warm-up
-// prefixes across a batch: units with equal warm identities (RunSpec.WarmKey)
-// simulate their first `warmup` committed instructions once, fork the
-// captured snapshot, and resume per unit. Sharing is pure execution tuning —
-// a WarmBackend must return stats byte-identical to RunAll's for the same
-// batch. The local Engine implements it; the cluster Coordinator does not
-// (its workers hold no shared memory), so sweeps fall back to unshared
-// execution there.
-type WarmBackend interface {
-	Backend
-	RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64, fn ProgressFunc) ([]pipeline.Stats, error)
-}
-
-// RunAllOn executes specs on b, routing through RunAllProgress when fn is
-// non-nil and b supports it. A backend without progress support still runs
-// the batch; fn then only sees the terminal snapshot.
-func RunAllOn(ctx context.Context, b Backend, specs []RunSpec, fn ProgressFunc) ([]pipeline.Stats, error) {
-	if pb, ok := b.(ProgressBackend); ok && fn != nil {
-		return pb.RunAllProgress(ctx, specs, fn)
-	}
-	stats, err := b.RunAll(ctx, specs)
-	if fn != nil {
-		p := Progress{Total: len(specs), Completed: len(specs)}
-		if err != nil {
-			p.Completed, p.Failed = 0, 1
-		}
-		fn(p)
-	}
-	return stats, err
-}
-
 // Engine is the local, in-process Backend.
-var (
-	_ ProgressBackend = (*Engine)(nil)
-	_ WarmBackend     = (*Engine)(nil)
-)
+var _ Backend = (*Engine)(nil)

@@ -164,7 +164,7 @@ func testSweep() Sweep {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	var ref []byte
 	for _, workers := range []int{1, 4, 16} {
-		results, err := NewEngine(workers).RunSweep(context.Background(), testSweep())
+		results, err := RunSweep(context.Background(), NewEngine(workers), testSweep(), nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

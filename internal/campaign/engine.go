@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"galsim/internal/pipeline"
-	"galsim/internal/snapshot"
 	"galsim/internal/timeline"
 )
 
@@ -59,10 +57,6 @@ type Engine struct {
 	shards  [numShards]shard
 	hits    atomic.Uint64
 	misses  atomic.Uint64
-
-	// Warm-up sharing counters (see RunAllWarm).
-	warmGroups atomic.Uint64 // prefix groups that actually shared a snapshot
-	warmSaved  atomic.Uint64 // warm-up instructions not re-simulated
 }
 
 // NewEngine builds an engine with the given worker-pool width; workers <= 0
@@ -127,33 +121,21 @@ func hexNibble(c byte) byte {
 // cancellation abandons the wait (an already-started simulation still
 // completes and populates the cache).
 func (e *Engine) Run(ctx context.Context, spec RunSpec) (pipeline.Stats, error) {
-	st, _, err := e.run(ctx, spec, TimelineTap{})
+	st, _, err := e.RunOpts(ctx, spec, ExecOpts{})
 	return st, err
 }
 
-// RunTimeline is Run with a cache-hit report and a timeline tap attached
-// when this call actually simulates. A unit served from the cache (or
-// joined in flight) reports hit=true and leaves the recorder empty — the
-// cached result was produced elsewhere and a timeline is an observation
-// of one execution, not part of the memoized value.
-func (e *Engine) RunTimeline(ctx context.Context, spec RunSpec, tap TimelineTap) (pipeline.Stats, bool, error) {
-	return e.run(ctx, spec, tap)
-}
-
-// run is Run plus a cache-hit report: hit is true when the result came from
-// a completed cache entry or joined an in-flight simulation — the signal
-// Progress.CacheHits aggregates.
-func (e *Engine) run(ctx context.Context, spec RunSpec, tap TimelineTap) (pipeline.Stats, bool, error) {
-	return e.runWith(ctx, spec, func(s RunSpec) (pipeline.Stats, error) {
-		return ExecuteOpts(s, ExecOpts{Tap: tap})
-	})
-}
-
-// runWith is the cache/singleflight core of run with the execution itself
-// pluggable: warm-up sharing swaps in executors that capture or resume a
-// snapshot, whose results are cache-grade because the pipeline differential
-// gate proves them byte-identical to cold executions.
-func (e *Engine) runWith(ctx context.Context, spec RunSpec, exec func(RunSpec) (pipeline.Stats, error)) (pipeline.Stats, bool, error) {
+// RunOpts is Run with the full execution options and a cache-hit report.
+// hit is true when the result came from a completed cache entry or joined
+// an in-flight simulation — the signal Progress.CacheHits aggregates. The
+// taps and snapshot sinks in opts (OnCommit, TraceOut, Tap, SnapshotOut,
+// OnSnapshot) fire only when this call actually simulates (hit == false):
+// a cached result was produced elsewhere, and an observation belongs to one
+// execution, not to the memoized value. opts never joins the cache key; a
+// Resume restore is cache-grade because the pipeline differential gate
+// proves it byte-identical to a cold execution. The cluster worker resumes
+// checkpointed jobs through it.
+func (e *Engine) RunOpts(ctx context.Context, spec RunSpec, opts ExecOpts) (pipeline.Stats, bool, error) {
 	// Canonicalize once up front: this pins a trace's content digest, so
 	// the cache key below and the execution's own Validate see the same
 	// content. A trace file swapped between keying and execution then fails
@@ -198,7 +180,7 @@ func (e *Engine) runWith(ctx context.Context, spec RunSpec, exec func(RunSpec) (
 		}
 		if ent.err == nil {
 			e.misses.Add(1)
-			ent.st, ent.err = exec(spec)
+			ent.st, ent.err = ExecuteOpts(spec, opts)
 			<-e.sem
 		}
 		if ent.err != nil {
@@ -222,7 +204,7 @@ func (e *Engine) RunAll(ctx context.Context, specs []RunSpec) ([]pipeline.Stats,
 
 // RunAllProgress is RunAll with live progress reporting: fn (when non-nil)
 // receives a monotone Progress snapshot after every completed unit, from
-// the completing worker goroutines. Implements ProgressBackend.
+// the completing worker goroutines. Implements Backend.
 func (e *Engine) RunAllProgress(ctx context.Context, specs []RunSpec, fn ProgressFunc) ([]pipeline.Stats, error) {
 	if len(specs) == 0 {
 		if fn != nil {
@@ -264,7 +246,7 @@ func (e *Engine) RunAllProgress(ctx context.Context, specs []RunSpec, fn Progres
 				if ctx.Err() != nil {
 					return
 				}
-				st, hit, err := e.run(ctx, specs[i], TimelineTap{})
+				st, hit, err := e.RunOpts(ctx, specs[i], ExecOpts{})
 				if err != nil {
 					// Only the winning (first) error counts as a failed
 					// unit; the cancellation errors it induces in the other
@@ -300,200 +282,6 @@ feed:
 		}
 	}
 	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// WarmSharing reports the engine's lifetime warm-up sharing activity: how
-// many prefix groups actually forked a shared snapshot, and how many
-// committed warm-up instructions resumed runs skipped re-simulating.
-func (e *Engine) WarmSharing() (groups, savedInstructions uint64) {
-	return e.warmGroups.Load(), e.warmSaved.Load()
-}
-
-// RunCheckpointed is Run with periodic checkpoint capture and optional
-// resume — the cluster worker's seam for long jobs. Every `every` committed
-// instructions the execution delivers its full state to onSnap; a non-nil
-// resume skips straight past its Committed prefix. A cache hit (or joined
-// in-flight run) returns instantly and onSnap never fires: nothing was
-// simulated. Results are cache-grade — the pipeline differential gate
-// proves a resumed execution byte-identical to a cold one.
-func (e *Engine) RunCheckpointed(ctx context.Context, spec RunSpec, every uint64, onSnap func(*snapshot.Snapshot), resume *snapshot.Snapshot) (pipeline.Stats, bool, error) {
-	return e.runWith(ctx, spec, func(s RunSpec) (pipeline.Stats, error) {
-		return ExecuteOpts(s, ExecOpts{CheckpointEvery: every, OnSnapshot: onSnap, Resume: resume})
-	})
-}
-
-// maxWarmUnits bounds RunAllWarm's per-group orchestration goroutines;
-// batches beyond it fall back to the plain worker pool.
-const maxWarmUnits = 1 << 16
-
-// RunAllWarm is RunAllProgress with warm-up sharing: units that share a
-// warm identity (WarmKey — same machine, workload and run settings, any
-// instruction budget) simulate their common prefix once. The first unit of
-// each group runs cold and captures a snapshot at `warmup` committed
-// instructions — a pure observation, so its own result is untouched — and
-// the group's other units resume from that snapshot instead of re-warming.
-// Results are byte-identical to RunAll's (the pipeline differential gate
-// proves restore ≡ straight-line run) and populate the same cache. Units
-// with no prefix peers — machine- or workload-divergent points — warm
-// independently, and the engine says so on the log.
-func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64, fn ProgressFunc) ([]pipeline.Stats, error) {
-	if warmup == 0 || len(specs) < 2 {
-		return e.RunAllProgress(ctx, specs, fn)
-	}
-	if len(specs) > maxWarmUnits {
-		slog.Default().Info("campaign: batch too large for warm-up sharing; running unshared",
-			"units", len(specs), "max", maxWarmUnits)
-		return e.RunAllProgress(ctx, specs, fn)
-	}
-	canon := make([]RunSpec, len(specs))
-	for i := range specs {
-		canon[i] = specs[i].Canonical()
-		if err := canon[i].Validate(); err != nil {
-			return nil, fmt.Errorf("campaign: unit %d (%s/%s): %w",
-				i, specs[i].MachineName(), specs[i].WorkloadName(), err)
-		}
-	}
-	// Group by warm identity. A unit that cannot share a prefix — already
-	// snapshot-seeded, or its whole budget inside the warm-up — gets a
-	// private group and runs cold.
-	groups := map[string][]int{}
-	var order []string
-	for i, s := range canon {
-		key := fmt.Sprintf("cold!%d", i) // '!' is not hex: never collides with a warm key
-		if s.Snapshot == nil && warmup < s.Instructions {
-			key = s.WarmKey()
-		}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	sharedGroups := 0
-	for _, members := range groups {
-		if len(members) > 1 {
-			sharedGroups++
-		}
-	}
-	slog.Default().Info("campaign: warm-up sharing plan",
-		"units", len(specs), "shared_groups", sharedGroups,
-		"independent", len(groups)-sharedGroups, "warmup", warmup)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		progMu sync.Mutex
-		prog   = Progress{Total: len(specs)}
-	)
-	report := func(mutate func(*Progress)) {
-		if fn == nil {
-			return
-		}
-		progMu.Lock()
-		mutate(&prog)
-		snap := prog
-		progMu.Unlock()
-		fn(snap)
-	}
-	results := make([]pipeline.Stats, len(specs))
-	var (
-		firstErr error
-		errOnce  sync.Once
-	)
-	// runOne executes unit i through the cache with the given executor,
-	// recording its result and progress; false means failed or cancelled.
-	runOne := func(i int, exec func(RunSpec) (pipeline.Stats, error)) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		st, hit, err := e.runWith(ctx, canon[i], exec)
-		if err != nil {
-			won := false
-			errOnce.Do(func() {
-				firstErr = fmt.Errorf("campaign: unit %d (%s/%s): %w",
-					i, specs[i].MachineName(), specs[i].WorkloadName(), err)
-				cancel()
-				won = true
-			})
-			if won {
-				report(func(p *Progress) { p.Failed++ })
-			}
-			return false
-		}
-		results[i] = st
-		report(func(p *Progress) {
-			p.Completed++
-			if hit {
-				p.CacheHits++
-			}
-		})
-		return true
-	}
-	cold := func(s RunSpec) (pipeline.Stats, error) { return ExecuteOpts(s, ExecOpts{}) }
-	var wg sync.WaitGroup
-	for _, key := range order {
-		members := groups[key]
-		wg.Add(1)
-		go func(key string, members []int) {
-			defer wg.Done()
-			if len(members) == 1 {
-				i := members[0]
-				slog.Default().Debug("campaign: warming independently (no prefix peers)",
-					"unit", i, "machine", canon[i].MachineName(), "workload", canon[i].WorkloadName())
-				runOne(i, cold)
-				return
-			}
-			// Leader runs cold and captures the group's shared warm state.
-			// A cache hit leaves snap nil (nothing was simulated, so nothing
-			// was captured) and the followers simply run cold too — results
-			// are identical either way.
-			var snap *snapshot.Snapshot
-			leader := members[0]
-			if !runOne(leader, func(s RunSpec) (pipeline.Stats, error) {
-				return ExecuteOpts(s, ExecOpts{
-					Warmup:     warmup,
-					OnSnapshot: func(sn *snapshot.Snapshot) { snap = sn },
-				})
-			}) {
-				return
-			}
-			var resumed atomic.Uint64
-			var fwg sync.WaitGroup
-			for _, m := range members[1:] {
-				fwg.Add(1)
-				go func(m int) {
-					defer fwg.Done()
-					exec := cold
-					if sn := snap; sn != nil {
-						exec = func(s RunSpec) (pipeline.Stats, error) {
-							st, err := ExecuteOpts(s, ExecOpts{Resume: sn})
-							if err == nil {
-								resumed.Add(1)
-								e.warmSaved.Add(sn.Committed)
-							}
-							return st, err
-						}
-					}
-					runOne(m, exec)
-				}(m)
-			}
-			fwg.Wait()
-			if snap != nil {
-				e.warmGroups.Add(1)
-				slog.Default().Info("campaign: warm-up prefix shared",
-					"group", key[:12], "peers", len(members), "resumed", resumed.Load(),
-					"warmup_committed", snap.Committed,
-					"instructions_saved", resumed.Load()*snap.Committed)
-			}
-		}(key, members)
-	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr

@@ -15,7 +15,7 @@ import (
 // ExecOpts bundles the observation taps and snapshot controls of one
 // execution. Everything here observes or seeds a single run without joining
 // its cache identity: commit hooks, trace capture and timelines never alter
-// results, warm-up capture is a pure read of the machine state (proved
+// results, snapshot capture is a pure read of the machine state (proved
 // non-perturbing by the pipeline differential gate), and a Resume restore
 // is byte-equivalent to having simulated the prefix (same gate) — only a
 // RunSpec.Snapshot file reference, whose content the engine cannot vouch
@@ -44,8 +44,8 @@ type ExecOpts struct {
 	CheckpointEvery uint64
 	// Resume restores this in-memory snapshot as the run's starting state:
 	// the programmatic equivalent of RunSpec.Snapshot, used where the
-	// snapshot never touches disk (sweep warm-up sharing, cluster job
-	// checkpoints). The snapshot must carry the spec's own WarmKey.
+	// snapshot never touches disk (cluster job checkpoints). The snapshot
+	// must carry the spec's own SnapshotKey.
 	Resume *snapshot.Snapshot
 }
 
@@ -55,20 +55,6 @@ type ExecOpts struct {
 // so a malformed unit cannot take down a whole campaign or a server.
 func Execute(spec RunSpec, onCommit func(*isa.Instr)) (pipeline.Stats, error) {
 	return ExecuteOpts(spec, ExecOpts{OnCommit: onCommit})
-}
-
-// ExecuteRecording is Execute with an optional capture tap: when traceOut
-// is non-nil the workload stream delivered to the pipeline is recorded to
-// it in the trace format, so the run can later be replayed (see
-// internal/trace). Recording never alters the simulation.
-func ExecuteRecording(spec RunSpec, onCommit func(*isa.Instr), traceOut io.Writer) (pipeline.Stats, error) {
-	return ExecuteOpts(spec, ExecOpts{OnCommit: onCommit, TraceOut: traceOut})
-}
-
-// ExecuteTimeline is ExecuteRecording with an optional timeline tracer
-// attached to the core for the duration of the run.
-func ExecuteTimeline(spec RunSpec, onCommit func(*isa.Instr), traceOut io.Writer, tap TimelineTap) (pipeline.Stats, error) {
-	return ExecuteOpts(spec, ExecOpts{OnCommit: onCommit, TraceOut: traceOut, Tap: tap})
 }
 
 // ExecuteOpts runs one unit with the full set of taps and snapshot
@@ -166,7 +152,7 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 
 // resumeSnapshot resolves the run's starting state: the in-memory Resume
 // snapshot, or the spec's snapshot file, or nil for a cold start. The
-// returned snapshot has been verified to carry this spec's warm identity.
+// returned snapshot has been verified to carry this spec's SnapshotKey.
 func resumeSnapshot(spec RunSpec, opts ExecOpts) (*snapshot.Snapshot, error) {
 	if opts.Resume != nil && spec.Snapshot != nil {
 		return nil, fmt.Errorf("campaign: both an in-memory resume snapshot and RunSpec.Snapshot are set; use one")
@@ -174,7 +160,7 @@ func resumeSnapshot(spec RunSpec, opts ExecOpts) (*snapshot.Snapshot, error) {
 	snap := opts.Resume
 	if spec.Snapshot != nil {
 		// Validate (via PipelineConfig) already vouched for envelope
-		// integrity, digest pin, warm-key match and committed-vs-budget.
+		// integrity, digest pin, snapshot-key match and committed-vs-budget.
 		var err error
 		if snap, err = snapshot.ReadFile(spec.Snapshot.Path); err != nil {
 			return nil, fmt.Errorf("campaign: snapshot %s: %w", spec.Snapshot.Path, err)
@@ -184,8 +170,8 @@ func resumeSnapshot(spec RunSpec, opts ExecOpts) (*snapshot.Snapshot, error) {
 	if snap == nil {
 		return nil, nil
 	}
-	if want := spec.WarmKey(); snap.SpecKey != want {
-		return nil, fmt.Errorf("campaign: resume snapshot was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...)",
+	if want := spec.SnapshotKey(); snap.SpecKey != want {
+		return nil, fmt.Errorf("campaign: resume snapshot was captured under a different run configuration (its spec key %.12s..., this run's snapshot key %.12s...)",
 			snap.SpecKey, want)
 	}
 	if snap.Committed >= spec.Instructions {
@@ -250,7 +236,7 @@ func deliverSnapshot(spec RunSpec, opts ExecOpts, commits uint64, cs *pipeline.C
 		return fmt.Errorf("encoding spec: %w", err)
 	}
 	snap := &snapshot.Snapshot{
-		SpecKey:   spec.WarmKey(),
+		SpecKey:   spec.SnapshotKey(),
 		SpecJSON:  specJSON,
 		Committed: commits,
 		State:     stateJSON,

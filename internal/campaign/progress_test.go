@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-
-	"galsim/internal/pipeline"
 )
 
 // TestEngineRunAllProgress: every unit produces exactly one snapshot,
@@ -74,30 +72,4 @@ func TestEngineRunAllProgress(t *testing.T) {
 	if failed != 1 {
 		t.Errorf("terminal Failed = %d, want 1", failed)
 	}
-}
-
-// TestRunAllOnFallback: a Backend that lacks progress support still works
-// through RunAllOn, delivering a single terminal snapshot.
-func TestRunAllOnFallback(t *testing.T) {
-	b := plainBackend{NewEngine(2)}
-	var snaps []Progress
-	stats, err := RunAllOn(context.Background(), b,
-		[]RunSpec{{Benchmark: "gcc", Instructions: 1000}},
-		func(p Progress) { snaps = append(snaps, p) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 1 {
-		t.Fatalf("got %d stats", len(stats))
-	}
-	if len(snaps) != 1 || snaps[0].Completed != 1 || snaps[0].Total != 1 {
-		t.Errorf("fallback snapshots = %+v", snaps)
-	}
-}
-
-// plainBackend hides the engine's ProgressBackend implementation.
-type plainBackend struct{ e *Engine }
-
-func (b plainBackend) RunAll(ctx context.Context, specs []RunSpec) ([]pipeline.Stats, error) {
-	return b.e.RunAll(ctx, specs)
 }

@@ -7,84 +7,72 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"galsim/internal/snapshot"
+	"galsim/internal/timeline"
 )
 
-// TestSweepWarmSharingByteIdentical is the sweep half of the PR's golden
-// differential gate: a warmed-snapshot-shared sweep must reproduce the
-// unshared sweep's JSON output exactly, while actually sharing (the engine
-// counters prove instructions were saved).
-func TestSweepWarmSharingByteIdentical(t *testing.T) {
-	sweep := Sweep{
-		Benchmarks:       []string{"gcc", "swim"},
-		Machines:         []string{"base", "gals"},
-		InstructionsGrid: []uint64{12_000, 18_000, 24_000},
-	}
-
-	cold := NewEngine(4)
-	unshared, err := cold.RunSweep(context.Background(), sweep)
+// TestEngineRunOptsContract pins the engine's single-run contract: taps
+// and snapshot sinks fire only when RunOpts actually simulates, a cache
+// hit fires neither, and every path returns the cold run's Stats exactly.
+func TestEngineRunOptsContract(t *testing.T) {
+	const every = 2_000
+	spec := RunSpec{Benchmark: "gcc", Machine: "gals", Instructions: 7_000}
+	cold, err := NewEngine(1).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON, err := json.MarshalIndent(unshared, "", " ")
-	if err != nil {
+	var mid *snapshot.Snapshot
+	if _, err := ExecuteOpts(spec, ExecOpts{Warmup: every,
+		OnSnapshot: func(s *snapshot.Snapshot) { mid = s }}); err != nil {
 		t.Fatal(err)
 	}
 
-	warm := NewEngine(4)
-	sweep.Warmup = 6_000
-	shared, err := warm.RunSweep(context.Background(), sweep)
-	if err != nil {
-		t.Fatal(err)
+	shared := NewEngine(1)
+	cases := []struct {
+		name    string
+		e       *Engine
+		resume  *snapshot.Snapshot
+		wantHit bool
+		wantAt  []uint64 // CheckpointEvery targets above the starting count
+	}{
+		{"miss simulates and observes", shared, nil, false, []uint64{2_000, 4_000, 6_000}},
+		{"identical call is a silent hit", shared, nil, true, nil},
+		{"resume on a cold engine", NewEngine(1), mid, false, []uint64{4_000, 6_000}},
 	}
-	gotJSON, err := json.MarshalIndent(shared, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("warm-shared sweep output differs from unshared sweep output\nunshared: %.400s\nshared:   %.400s", wantJSON, gotJSON)
-	}
-	groups, saved := warm.WarmSharing()
-	// 2 benchmarks x 2 machines = 4 prefix groups, each with 3 budgets: 2
-	// resumed units per group, each skipping >= 6000 warm-up instructions.
-	if groups != 4 {
-		t.Errorf("WarmSharing groups = %d, want 4", groups)
-	}
-	if saved < 4*2*6_000 {
-		t.Errorf("WarmSharing saved = %d instructions, want >= %d", saved, 4*2*6_000)
-	}
-	if g, s := cold.WarmSharing(); g != 0 || s != 0 {
-		t.Errorf("unshared engine reports warm sharing (groups=%d saved=%d), want none", g, s)
-	}
-}
-
-// TestRunAllWarmDivergentUnitsWarmIndependently pins the fallback: units
-// with no prefix peers (machine-divergent operating points) still run, cold,
-// with results identical to plain RunAll.
-func TestRunAllWarmDivergentUnitsWarmIndependently(t *testing.T) {
-	specs := []RunSpec{
-		{Benchmark: "gcc", Machine: "gals", Instructions: 10_000},
-		{Benchmark: "gcc", Machine: "gals", Instructions: 10_000, Slowdowns: map[string]float64{"fp": 2}},
-		{Benchmark: "gcc", Machine: "gals", Instructions: 10_000, Slowdowns: map[string]float64{"fp": 3}},
-	}
-	want, err := NewEngine(2).RunAll(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewEngine(2)
-	got, err := warm.RunAllWarm(context.Background(), specs, 4_000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
-	gotJSON, _ := json.Marshal(got)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("divergent warm batch differs from RunAll")
-	}
-	if groups, saved := warm.WarmSharing(); groups != 0 || saved != 0 {
-		t.Errorf("divergent units reported sharing (groups=%d saved=%d), want none", groups, saved)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := timeline.NewRecorder(timeline.Options{})
+			var snaps []uint64
+			st, hit, err := tc.e.RunOpts(context.Background(), spec, ExecOpts{
+				Tap:             TimelineTap{Recorder: rec},
+				CheckpointEvery: every,
+				OnSnapshot:      func(s *snapshot.Snapshot) { snaps = append(snaps, s.Committed) },
+				Resume:          tc.resume,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit != tc.wantHit {
+				t.Errorf("hit = %v, want %v", hit, tc.wantHit)
+			}
+			if !reflect.DeepEqual(st, cold) {
+				t.Error("Stats differ from a cold Run")
+			}
+			if len(snaps) != len(tc.wantAt) {
+				t.Fatalf("OnSnapshot fired at %v committed, want captures at %v", snaps, tc.wantAt)
+			}
+			for i, n := range snaps {
+				if want := tc.wantAt[i]; n < want || n >= want+every {
+					t.Errorf("capture %d at %d committed, want the first boundary at or above %d", i, n, want)
+				}
+			}
+			if got := rec.Len() > 0; got == hit {
+				t.Errorf("timeline recorded %d events on hit=%v; the tap must fire exactly when the call simulates", rec.Len(), hit)
+			}
+		})
 	}
 }
 
@@ -161,7 +149,7 @@ func TestTraceLengthError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteRecording(rec, nil, f); err != nil {
+	if _, err := ExecuteOpts(rec, ExecOpts{TraceOut: f}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -78,7 +78,7 @@ type RunSpec struct {
 	// Snapshot restores a captured simulation state (see internal/snapshot)
 	// as the run's starting point: the machine resumes at the snapshot's
 	// committed-instruction count and runs on to Instructions. The snapshot
-	// must have been captured under this spec's own warm identity (WarmKey),
+	// must have been captured under this spec's own SnapshotKey,
 	// which makes the result byte-identical to a cold-start run — the
 	// golden differential gate in internal/pipeline proves it.
 	Snapshot *SnapshotRef `json:"snapshot,omitempty"`
@@ -259,13 +259,13 @@ func (s RunSpec) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// WarmKey returns the spec's warm-up identity: the content address of the
-// run with the instruction budget and any snapshot seed normalized away.
-// Two runs that share a WarmKey execute bit-identical prefixes, so a
-// snapshot captured under one resumes the other exactly — the grouping
-// relation behind sweep warm-up sharing and the compatibility check behind
-// RunSpec.Snapshot restores.
-func (s RunSpec) WarmKey() string {
+// SnapshotKey returns the spec's snapshot-compatibility key: the content
+// address of the run with the instruction budget and any snapshot seed
+// normalized away. Two runs that share a SnapshotKey execute bit-identical
+// prefixes, so a snapshot captured under one resumes the other exactly.
+// Every capture is stamped with it, and RunSpec.Snapshot and
+// ExecOpts.Resume restores check it.
+func (s RunSpec) SnapshotKey() string {
 	c := s.Canonical()
 	c.Instructions = 0 // Key re-canonicalizes; both sides land on the default
 	c.Snapshot = nil
@@ -475,8 +475,8 @@ func (s RunSpec) Validate() error {
 					s.Snapshot.Path, digest, s.Snapshot.SHA256)
 			}
 		}
-		if want := s.WarmKey(); snap.SpecKey != want {
-			return fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
+		if want := s.SnapshotKey(); snap.SpecKey != want {
+			return fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's snapshot key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
 				s.Snapshot.Path, snap.SpecKey, want)
 		}
 		if budget := s.Canonical().Instructions; snap.Committed >= budget {

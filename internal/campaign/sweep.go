@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"sort"
 
 	"galsim/internal/machine"
@@ -39,8 +38,7 @@ type Sweep struct {
 	PhaseSeeds []int64 `json:"phase_seeds,omitempty"`
 	// InstructionsGrid lists committed-instruction budgets to cross in —
 	// convergence studies over one configuration. Empty means the single
-	// scalar Instructions value. Grid points differing only in budget share
-	// their whole simulated prefix, which Warmup exploits.
+	// scalar Instructions value.
 	InstructionsGrid []uint64 `json:"instructions_grid,omitempty"`
 
 	// Scalar settings shared by every unit (see RunSpec).
@@ -49,13 +47,6 @@ type Sweep struct {
 	MemoryOrdering string `json:"memory_ordering,omitempty"`
 	LinkStyle      string `json:"link_style,omitempty"`
 	DynamicDVFS    bool   `json:"dynamic_dvfs,omitempty"`
-
-	// Warmup, when non-zero, enables warm-up sharing on backends that
-	// support it: units sharing a warm identity (same configuration, any
-	// budget) simulate their first Warmup instructions once, fork the
-	// snapshot, and resume per unit. Execution tuning only — it never joins
-	// unit identities, and results are byte-identical with or without it.
-	Warmup uint64 `json:"warmup,omitempty"`
 }
 
 // MaxUnits bounds a single sweep expansion: a backstop against accidental
@@ -283,43 +274,17 @@ type UnitResult struct {
 	Summary Summary `json:"summary"`
 }
 
-// RunSweep expands the sweep, executes every unit on the engine, and
-// returns the aggregated results in expansion order.
-func (e *Engine) RunSweep(ctx context.Context, s Sweep) ([]UnitResult, error) {
-	return RunSweepOn(ctx, e, s)
-}
-
-// RunSweepOn expands the sweep, executes every unit on the given backend —
-// the local engine or a distributed cluster coordinator — and returns the
-// aggregated results in expansion order. Results are merged by unit index,
-// never by completion order, so the output is byte-identical across
-// backends and worker counts.
-func RunSweepOn(ctx context.Context, b Backend, s Sweep) ([]UnitResult, error) {
-	return RunSweepProgress(ctx, b, s, nil)
-}
-
-// RunSweepProgress is RunSweepOn with a live progress callback (see
-// ProgressFunc); fn may be nil. When the sweep sets Warmup and the backend
-// supports warm-up sharing (WarmBackend), units sharing a warm identity
-// fork one warmed snapshot instead of each re-simulating the prefix; the
-// aggregated output is byte-identical either way.
-func RunSweepProgress(ctx context.Context, b Backend, s Sweep, fn ProgressFunc) ([]UnitResult, error) {
+// RunSweep expands the sweep, executes every unit on b — the local engine
+// or a distributed cluster coordinator — and returns the aggregated results
+// in expansion order. fn, when non-nil, receives the backend's progress
+// snapshots. Results are merged by unit index, never by completion order,
+// so the output is byte-identical across backends and worker counts.
+func RunSweep(ctx context.Context, b Backend, s Sweep, fn ProgressFunc) ([]UnitResult, error) {
 	units, err := s.Units()
 	if err != nil {
 		return nil, err
 	}
-	var stats []pipeline.Stats
-	if s.Warmup > 0 {
-		if wb, ok := b.(WarmBackend); ok {
-			stats, err = wb.RunAllWarm(ctx, units, s.Warmup, fn)
-		} else {
-			slog.Default().Info("campaign: backend does not support warm-up sharing; running the sweep unshared",
-				"units", len(units), "warmup", s.Warmup)
-			stats, err = RunAllOn(ctx, b, units, fn)
-		}
-	} else {
-		stats, err = RunAllOn(ctx, b, units, fn)
-	}
+	stats, err := b.RunAllProgress(ctx, units, fn)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func TestWorkerLossMidSweep(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := campaign.RunSweepOn(context.Background(), f.coord, sweep)
+		res, err := campaign.RunSweep(context.Background(), f.coord, sweep, nil)
 		done <- outcome{res, err}
 	}()
 	// Let the sweep get going, then yank a worker mid-flight.

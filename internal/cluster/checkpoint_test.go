@@ -264,8 +264,8 @@ func TestCheckpointResumeAfterWorkerLoss(t *testing.T) {
 	done := make(chan error, 1)
 	resCh := make(chan []campaign.UnitResult, 1)
 	go func() {
-		res, err := campaign.RunSweepOn(context.Background(), coord,
-			campaign.Sweep{Benchmarks: []string{"gcc"}, Machines: []string{"gals"}, Instructions: spec.Instructions})
+		res, err := campaign.RunSweep(context.Background(), coord,
+			campaign.Sweep{Benchmarks: []string{"gcc"}, Machines: []string{"gals"}, Instructions: spec.Instructions}, nil)
 		resCh <- res
 		done <- err
 	}()

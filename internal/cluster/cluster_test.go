@@ -31,7 +31,7 @@ func goldenSweep() campaign.Sweep {
 
 // serialReference executes every unit of the sweep one at a time through
 // campaign.Execute — no engine, no cache, no concurrency — and aggregates
-// exactly like RunSweepOn. This is the seed semantics every distributed
+// exactly like RunSweep. This is the seed semantics every distributed
 // configuration must reproduce byte-for-byte.
 func serialReference(t *testing.T, s campaign.Sweep) ([]campaign.RunSpec, []pipeline.Stats, []campaign.UnitResult) {
 	t.Helper()
@@ -135,7 +135,7 @@ func TestFleetDifferentialDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			f := startFleet(t, Config{}, workers, 2)
-			got, err := campaign.RunSweepOn(context.Background(), f.coord, sweep)
+			got, err := campaign.RunSweep(context.Background(), f.coord, sweep, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -322,18 +322,18 @@ func (c *Coordinator) now() time.Time {
 // LeaseTTL returns the configured lease duration.
 func (c *Coordinator) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 
-var _ campaign.ProgressBackend = (*Coordinator)(nil)
+var _ campaign.Backend = (*Coordinator)(nil)
 
-// RunAll implements campaign.Backend: it validates and canonicalizes the
-// batch, enqueues one job per unique spec, and blocks until the fleet has
-// completed all of them (or ctx is cancelled, or a job exhausts its
-// attempts). Stats are returned in spec order.
+// RunAll is RunAllProgress without a progress callback: it validates and
+// canonicalizes the batch, enqueues one job per unique spec, and blocks
+// until the fleet has completed all of them (or ctx is cancelled, or a job
+// exhausts its attempts). Stats are returned in spec order.
 func (c *Coordinator) RunAll(ctx context.Context, specs []campaign.RunSpec) ([]pipeline.Stats, error) {
 	return c.RunAllProgress(ctx, specs, nil)
 }
 
-// RunAllProgress is RunAll with live progress reporting (see
-// campaign.ProgressBackend). fn receives a snapshot as workers complete
+// RunAllProgress implements campaign.Backend: RunAll with live progress
+// reporting. fn receives a snapshot as workers complete
 // jobs; CacheHits is always zero here — caching happens inside each
 // worker's engine and shows up in FleetStats.Cache instead.
 //

@@ -10,7 +10,7 @@
 // attempt count.
 //
 // The Coordinator implements campaign.Backend, so galsim.RunManyOn,
-// campaign.RunSweepOn and the galsimd /sweep handler run on a fleet
+// campaign.RunSweep and the galsimd /sweep handler run on a fleet
 // unchanged. Results are merged by unit index, never arrival order; the
 // differential tests in this package assert the merged output is
 // byte-identical to serial campaign.Execute output under concurrency,

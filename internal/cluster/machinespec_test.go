@@ -57,7 +57,7 @@ func TestFleetRunsCustomMachine(t *testing.T) {
 		}
 	}
 
-	fleetResults, err := campaign.RunSweepOn(context.Background(), f.coord, sweep)
+	fleetResults, err := campaign.RunSweep(context.Background(), f.coord, sweep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFleetRunsCustomMachine(t *testing.T) {
 	// land on a *different* worker than the first run, so the fleet-wide
 	// miss total can legitimately grow; per-worker misses are bounded by
 	// the number of distinct keys.)
-	again, err := campaign.RunSweepOn(context.Background(), f.coord, sweep)
+	again, err := campaign.RunSweep(context.Background(), f.coord, sweep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,11 +96,11 @@ func TestRunManyOnFleet(t *testing.T) {
 		{Benchmark: "gcc", Instructions: 4_000},
 		{Benchmark: "gcc", Machine: galsim.GALS, Instructions: 4_000, Slowdowns: map[string]float64{"fp": 2}},
 	}
-	fleet, err := galsim.RunManyOn(context.Background(), f.coord, opts)
+	fleet, err := galsim.RunManyOn(context.Background(), f.coord, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := galsim.RunManyOn(context.Background(), campaign.NewEngine(1), opts)
+	local, err := galsim.RunManyOn(context.Background(), campaign.NewEngine(1), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

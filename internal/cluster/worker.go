@@ -339,7 +339,8 @@ func (w *Worker) runCheckpointed(ctx context.Context, jb Job) (pipeline.Stats, e
 				"request_id", jb.RequestID, "committed", sn.Committed)
 		}
 	}
-	st, _, err := w.Engine.RunCheckpointed(ctx, jb.Spec, w.CheckpointEvery, onSnap, resume)
+	st, _, err := w.Engine.RunOpts(ctx, jb.Spec, campaign.ExecOpts{
+		CheckpointEvery: w.CheckpointEvery, OnSnapshot: onSnap, Resume: resume})
 	return st, err
 }
 
@@ -367,7 +368,7 @@ func (w *Worker) runTraced(ctx context.Context, jb Job, traceID, parentSpan stri
 		rec = timeline.NewRecorder(timeline.Options{MaxEvents: events, Flight: true})
 	}
 	start := time.Now()
-	st, hit, err := w.Engine.RunTimeline(ctx, jb.Spec, campaign.TimelineTap{Recorder: rec})
+	st, hit, err := w.Engine.RunOpts(ctx, jb.Spec, campaign.ExecOpts{Tap: campaign.TimelineTap{Recorder: rec}})
 	end := time.Now()
 	if ctx.Err() != nil {
 		return st, nil, err

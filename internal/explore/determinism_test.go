@@ -37,7 +37,6 @@ func TestSeedDeterminismAcrossWorkers(t *testing.T) {
 			Strategy:     strat,
 			Workloads:    []string{"gcc", "swim"},
 			Instructions: 2000,
-			Warmup:       500,
 			Space:        SpaceSpec{DVFS: true},
 			Budget:       BudgetSpec{Population: 5, MaxGenerations: 3},
 		}

@@ -9,9 +9,8 @@
 // dominance ranking for output). Generations are scored by expanding the
 // population into one campaign.Sweep and fanning it through the existing
 // campaign.Backend seam, so evaluation is transparently parallel on a
-// local engine or a galsim-fleet, duplicate and builtin-equal mutants hit
-// the content-addressed result cache for free, and Sweep.Warmup prefix
-// sharing rides along unchanged.
+// local engine or a galsim-fleet, and duplicate and builtin-equal mutants
+// hit the content-addressed result cache for free.
 //
 // Everything is deterministic: the RNG is a seeded splitmix64, strategies
 // iterate in fixed orders (never over Go maps), and fitness aggregation
@@ -173,10 +172,6 @@ type SearchSpec struct {
 	// Instructions is the committed-instruction budget per run; 0 selects
 	// the campaign default.
 	Instructions uint64 `json:"instructions,omitempty"`
-	// Warmup, when non-zero, asks warm-capable backends to share each
-	// run's first Warmup instructions across a generation (pure execution
-	// tuning; results are byte-identical either way).
-	Warmup uint64 `json:"warmup,omitempty"`
 
 	Space   SpaceSpec   `json:"space,omitempty"`
 	Budget  BudgetSpec  `json:"budget,omitempty"`

@@ -15,6 +15,10 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse([]byte(`{"strategy":"grid","populatino":4}`)); err == nil {
 		t.Fatal("expected unknown-field error")
 	}
+	// The removed warm-up sharing option fails loudly, not silently.
+	if _, err := Parse([]byte(`{"strategy":"grid","warmup":500}`)); err == nil || !strings.Contains(err.Error(), `"warmup"`) {
+		t.Fatalf("warmup field: got %v, want an unknown-field error naming it", err)
+	}
 	if _, err := Parse([]byte(`{"seed":3}{"seed":4}`)); err == nil {
 		t.Fatal("expected trailing-data error")
 	}

@@ -26,13 +26,7 @@ type BackendEvaluator struct{ Backend campaign.Backend }
 
 // EvaluateSweep implements Evaluator.
 func (b BackendEvaluator) EvaluateSweep(ctx context.Context, s campaign.Sweep, fn campaign.ProgressFunc) ([]campaign.UnitResult, error) {
-	return campaign.RunSweepProgress(ctx, b.Backend, s, fn)
-}
-
-// warmSharer is the optional warm-up-sharing counter surface
-// (campaign.Engine implements it).
-type warmSharer interface {
-	WarmSharing() (groups, savedInstructions uint64)
+	return campaign.RunSweep(ctx, b.Backend, s, fn)
 }
 
 // Point is one evaluated machine design.
@@ -90,7 +84,7 @@ type Result struct {
 	Generations int  `json:"generations"`
 	Exhausted   bool `json:"exhausted,omitempty"`
 
-	// Exec holds execution-side counters (cache hits, warm-up sharing).
+	// Exec holds execution-side counters (units, cache hits).
 	// Deliberately excluded from the JSON artifact: they vary by backend
 	// and cache temperature while the search result must not.
 	Exec ExecStats `json:"-"`
@@ -105,10 +99,6 @@ type ExecStats struct {
 	// the backend (a cluster coordinator reports zero; its workers cache
 	// locally).
 	CacheHits int
-	// WarmGroups / WarmSavedInstructions are the backend's warm-up
-	// sharing deltas across the search, when the backend exposes them.
-	WarmGroups            uint64
-	WarmSavedInstructions uint64
 }
 
 // Progress is a point-in-time view of a running search, delivered after
@@ -130,10 +120,6 @@ type Progress struct {
 	FrontierSize int     `json:"frontier_size"`
 	BestFitness  float64 `json:"best_fitness"`
 	BestMachine  string  `json:"best_machine"`
-	// WarmGroups/WarmSavedInstructions are cumulative warm-up sharing
-	// deltas for this search (zero on backends without the counters).
-	WarmGroups            uint64 `json:"warm_groups"`
-	WarmSavedInstructions uint64 `json:"warm_saved_instructions"`
 }
 
 // ProgressFunc receives search progress snapshots.
@@ -234,7 +220,6 @@ func (x *Explorer) Run(ctx context.Context, spec SearchSpec) (*Result, error) {
 	hist := newHistory()
 	pointIdx := map[string]int{}              // machine digest -> res.Points index
 	specByDigest := map[string]machine.Spec{} // for frontier spec attachment
-	warmG0, warmS0 := warmSharing(ev)
 
 	logger.Info("explore: search started",
 		"name", spec.Name, "strategy", spec.Strategy, "seed", spec.Seed,
@@ -266,7 +251,6 @@ func (x *Explorer) Run(ctx context.Context, spec SearchSpec) (*Result, error) {
 			MachineSpecs: specs,
 			Instructions: spec.Instructions,
 			DynamicDVFS:  spec.Space.DVFS,
-			Warmup:       spec.Warmup,
 		}
 		gen := res.Generations
 		snap := x.progressBase(res, gen)
@@ -321,24 +305,12 @@ func (x *Explorer) Run(ctx context.Context, spec SearchSpec) (*Result, error) {
 		mu.Unlock()
 		res.Exec.CacheHits += genHits
 
-		wg, ws := warmSharing(ev)
-		prevG := res.Exec.WarmGroups
-		res.Exec.WarmGroups, res.Exec.WarmSavedInstructions = wg-warmG0, ws-warmS0
-		if spec.Warmup > 0 && len(gs) > 1 && res.Exec.WarmGroups == prevG {
-			// Expected whenever every candidate is a distinct machine:
-			// warm identities include the machine content, so only
-			// duplicate designs can share a prefix.
-			logger.Debug("explore: divergent candidates warmed independently (no shared prefixes this generation)",
-				"generation", gen, "candidates", len(gs))
-		}
-
 		x.rank(res, specByDigest)
 		best, _ := hist.best()
 		logger.Info("explore: generation scored",
 			"generation", gen, "candidates", len(gs), "evaluations", res.Evaluations,
 			"frontier", len(res.Frontier), "best_fitness", best.fit,
-			"cache_hits", genHits, "warm_groups", res.Exec.WarmGroups,
-			"warm_saved_instructions", res.Exec.WarmSavedInstructions)
+			"cache_hits", genHits)
 		if met != nil {
 			met.generations.Inc()
 			met.evaluations.Add(float64(len(gs)))
@@ -372,12 +344,10 @@ func (x *Explorer) Run(ctx context.Context, spec SearchSpec) (*Result, error) {
 // progressBase builds the slow-moving part of a Progress snapshot.
 func (x *Explorer) progressBase(res *Result, gen int) Progress {
 	p := Progress{
-		Generation:            gen,
-		Evaluations:           res.Evaluations,
-		Budget:                res.Spec.Budget.MaxEvaluations,
-		FrontierSize:          len(res.Frontier),
-		WarmGroups:            res.Exec.WarmGroups,
-		WarmSavedInstructions: res.Exec.WarmSavedInstructions,
+		Generation:   gen,
+		Evaluations:  res.Evaluations,
+		Budget:       res.Spec.Budget.MaxEvaluations,
+		FrontierSize: len(res.Frontier),
 	}
 	if len(res.Points) > 0 {
 		p.BestFitness = res.Best.Fitness
@@ -449,17 +419,4 @@ func objectiveMap(names []string, vals []float64) map[string]float64 {
 		out[n] = vals[i]
 	}
 	return out
-}
-
-// warmSharing reads the evaluator's warm-up counters when available,
-// unwrapping a BackendEvaluator to reach the engine underneath.
-func warmSharing(ev Evaluator) (uint64, uint64) {
-	var src any = ev
-	if be, ok := ev.(BackendEvaluator); ok {
-		src = be.Backend
-	}
-	if ws, ok := src.(warmSharer); ok {
-		return ws.WarmSharing()
-	}
-	return 0, 0
 }

@@ -413,7 +413,7 @@ func (g genome) partitionName() string {
 // spec builds the candidate machine. Genomes that are exactly a builtin's
 // shape return the builtin verbatim — RunSpec canonicalization then
 // collapses them onto the builtin's cache identity, so the search's
-// reference points are free on any warm backend.
+// reference points are free on any caching backend.
 func (g genome) spec(space SpaceSpec) machine.Spec {
 	if g.groups() == 1 && g.defaultGenes(space) {
 		return machine.Base()

@@ -129,7 +129,7 @@ func TestAdmissionSweepQuota(t *testing.T) {
 // busyBackend refuses every batch the way a full coordinator queue does.
 type busyBackend struct{}
 
-func (busyBackend) RunAll(context.Context, []campaign.RunSpec) ([]pipeline.Stats, error) {
+func (busyBackend) RunAllProgress(context.Context, []campaign.RunSpec, campaign.ProgressFunc) ([]pipeline.Stats, error) {
 	return nil, campaign.ErrBackendBusy
 }
 
@@ -157,9 +157,9 @@ type priorityBackend struct {
 	prios  []campaign.Priority
 }
 
-func (b *priorityBackend) RunAll(ctx context.Context, specs []campaign.RunSpec) ([]pipeline.Stats, error) {
+func (b *priorityBackend) RunAllProgress(ctx context.Context, specs []campaign.RunSpec, fn campaign.ProgressFunc) ([]pipeline.Stats, error) {
 	b.prios = append(b.prios, campaign.PriorityOf(ctx))
-	return b.engine.RunAll(ctx, specs)
+	return b.engine.RunAllProgress(ctx, specs, fn)
 }
 
 // TestRunCarriesInteractivePriority: /run marks its batch interactive so a

@@ -391,7 +391,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if wantTimeline {
 		rec = timeline.NewRecorder(timeline.Options{})
 		var hit bool
-		st, hit, err = s.engine.RunTimeline(r.Context(), spec, campaign.TimelineTap{Recorder: rec})
+		st, hit, err = s.engine.RunOpts(r.Context(), spec, campaign.ExecOpts{Tap: campaign.TimelineTap{Recorder: rec}})
 		if hit {
 			rec = nil // served from cache: nothing was simulated, no events
 		}
@@ -423,7 +423,7 @@ func (s *Server) runOne(ctx context.Context, spec campaign.RunSpec) (pipeline.St
 	if s.Backend == nil {
 		return s.engine.Run(ctx, spec)
 	}
-	stats, err := s.Backend.RunAll(ctx, []campaign.RunSpec{spec})
+	stats, err := s.Backend.RunAllProgress(ctx, []campaign.RunSpec{spec}, nil)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
@@ -515,7 +515,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		defer s.Admission.ReleaseUnits(tenant, len(units))
 	}
 	tracked := s.trackSweep(r.Context(), len(units))
-	results, err := campaign.RunSweepProgress(r.Context(), s.backend(), sweep,
+	results, err := campaign.RunSweep(r.Context(), s.backend(), sweep,
 		func(p campaign.Progress) { s.sweepProgress(tracked, p) })
 	s.sweepDone(tracked, err)
 	if err != nil {

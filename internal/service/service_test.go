@@ -167,6 +167,19 @@ func TestSweepUnitLimit(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsRemovedWarmup: the sweep's old "warmup" field is gone,
+// and a request still sending it fails loudly instead of being ignored.
+func TestSweepRejectsRemovedWarmup(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, body := post(t, ts.URL+"/sweep", `{"benchmarks":["gcc"],"instructions":5000,"warmup":2000}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "unknown field") || !strings.Contains(string(body), "warmup") {
+		t.Errorf("body %s does not name the unknown warmup field", body)
+	}
+}
+
 func TestExperimentEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -230,9 +243,9 @@ type countingBackend struct {
 	batches [][]campaign.RunSpec
 }
 
-func (b *countingBackend) RunAll(ctx context.Context, specs []campaign.RunSpec) ([]pipeline.Stats, error) {
+func (b *countingBackend) RunAllProgress(ctx context.Context, specs []campaign.RunSpec, fn campaign.ProgressFunc) ([]pipeline.Stats, error) {
 	b.batches = append(b.batches, specs)
-	return b.engine.RunAll(ctx, specs)
+	return b.engine.RunAllProgress(ctx, specs, fn)
 }
 
 // TestBackendThreading: with a Backend installed, /run and /sweep execute

@@ -96,10 +96,10 @@ func TestSweepEchoesRequestAndTraceIDs(t *testing.T) {
 	}
 }
 
-// TestRunTimelineQuery: ?timeline=1 on /run attaches a tracer and returns
+// TestRunWithTimelineQuery: ?timeline=1 on /run attaches a tracer and returns
 // the trace-event JSON inline; the repeated (cached) run omits it, since a
 // memoized result has no execution to trace.
-func TestRunTimelineQuery(t *testing.T) {
+func TestRunWithTimelineQuery(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := `{"benchmark":"gcc","machine":"gals","instructions":2000}`
 

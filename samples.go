@@ -26,7 +26,7 @@ type StallSample = pipeline.StallSample
 // completed, failed and cache-served unit counts out of Total.
 type Progress = campaign.Progress
 
-// ProgressFunc receives progress snapshots during RunManyProgress. It is
+// ProgressFunc receives progress snapshots during RunManyOn. It is
 // called from worker goroutines and must be safe for concurrent use.
 type ProgressFunc = campaign.ProgressFunc
 
