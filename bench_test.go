@@ -15,11 +15,14 @@
 package galsim
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	"galsim/internal/clocktree"
 	"galsim/internal/experiments"
 	"galsim/internal/pipeline"
+	"galsim/internal/timeline"
 	"galsim/internal/workload"
 )
 
@@ -201,6 +204,22 @@ func BenchmarkDynamicDVFS(b *testing.B) {
 	b.ReportMetric(rel, "rel-energy")
 }
 
+// coreInstrs is the instruction budget of the single-core benchmarks below.
+const coreInstrs = 20_000
+
+// runGALSCore simulates coreInstrs instructions of prof on a fresh GALS core
+// that samples every sampleInterval decode cycles (0 disables sampling).
+// attach, when non-nil, is applied to the core before it runs.
+func runGALSCore(prof workload.Profile, sampleInterval uint64, attach func(*pipeline.Core)) {
+	cfg := pipeline.DefaultConfig(pipeline.GALS)
+	cfg.SampleInterval = sampleInterval
+	core := pipeline.NewCore(cfg, prof)
+	if attach != nil {
+		attach(core)
+	}
+	core.Run(coreInstrs)
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
 // instructions per wall-clock second for the GALS machine.
 func BenchmarkSimulatorThroughput(b *testing.B) {
@@ -209,11 +228,62 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const n = 20_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := pipeline.DefaultConfig(pipeline.GALS)
-		pipeline.NewCore(cfg, prof).Run(n)
+		runGALSCore(prof, 0, nil)
 	}
-	b.ReportMetric(float64(n*uint64(b.N))/b.Elapsed().Seconds(), "sim-instrs/s")
+	b.ReportMetric(float64(coreInstrs*uint64(b.N))/b.Elapsed().Seconds(), "sim-instrs/s")
+}
+
+// BenchmarkProbeOverhead measures what the two in-simulation probes cost
+// the GALS core: the interval sampler (every 1000 decode cycles) and the
+// event tracer (a 1024-event flight ring, detail off). Each iteration
+// times one run with the probe off and one with it on, alternating which
+// goes first so host drift lands on both sides alike, and the benchmark
+// reports the median on/off time ratio minus one as overhead-frac.
+func BenchmarkProbeOverhead(b *testing.B) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	off := func() { runGALSCore(prof, 0, nil) }
+	probes := []struct {
+		name string
+		on   func()
+	}{
+		{"sampler", func() { runGALSCore(prof, 1000, nil) }},
+		{"timeline", func() {
+			runGALSCore(prof, 0, func(c *pipeline.Core) {
+				c.AttachTimeline(timeline.NewRecorder(timeline.Options{MaxEvents: 1024, Flight: true}), false, 0)
+			})
+		}},
+	}
+	timed := func(run func()) float64 {
+		start := time.Now()
+		run()
+		return time.Since(start).Seconds()
+	}
+	for _, p := range probes {
+		b.Run(p.name, func(b *testing.B) {
+			ratios := make([]float64, b.N)
+			for i := range ratios {
+				var offS, onS float64
+				if i%2 == 0 {
+					offS = timed(off)
+					onS = timed(p.on)
+				} else {
+					onS = timed(p.on)
+					offS = timed(off)
+				}
+				ratios[i] = onS / offS
+			}
+			sort.Float64s(ratios)
+			mid := len(ratios) / 2
+			median := ratios[mid]
+			if len(ratios)%2 == 0 {
+				median = (ratios[mid-1] + ratios[mid]) / 2
+			}
+			b.ReportMetric(median-1, "overhead-frac")
+		})
+	}
 }

@@ -156,9 +156,9 @@ func ParseWorkloadProfile(data []byte) (WorkloadProfile, error) {
 
 // ParseSlowdowns parses the CLI syntax for Options.Slowdowns —
 // comma-separated domain=factor pairs such as "fp=3,fetch=1.1" — used by
-// the galsim and galsim-trace front ends. An empty string yields nil.
-// Domain names and factor ranges are checked later by Options.Validate,
-// which knows the machine variant.
+// the galsim and galsim-trace front ends. An empty string yields nil, and
+// a domain named twice is an error. Domain names and factor ranges are
+// checked later by Options.Validate, which knows the machine variant.
 func ParseSlowdowns(s string) (map[string]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -172,6 +172,9 @@ func ParseSlowdowns(s string) (map[string]float64, error) {
 		f, err := strconv.ParseFloat(kv[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("galsim: bad slowdown factor in %q: %v", part, err)
+		}
+		if _, dup := out[kv[0]]; dup {
+			return nil, fmt.Errorf("galsim: slowdown domain %q given more than once", kv[0])
 		}
 		out[kv[0]] = f
 	}

@@ -207,6 +207,36 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+func TestParseSlowdowns(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    map[string]float64
+		wantErr string // substring of the error; empty = must succeed
+	}{
+		{in: "", want: nil},
+		{in: "fp=3", want: map[string]float64{"fp": 3}},
+		{in: "fp=3, fetch=1.1", want: map[string]float64{"fp": 3, "fetch": 1.1}},
+		{in: "all=2,fp=3", want: map[string]float64{"all": 2, "fp": 3}},
+		{in: "fp", wantErr: "want domain=factor"},
+		{in: "fp=3,", wantErr: "want domain=factor"},
+		{in: "fp=fast", wantErr: "bad slowdown factor"},
+		{in: "fp=2,fp=3", wantErr: `"fp"`},
+		{in: "fp=2,int=1,fp=2", wantErr: `"fp"`},
+	}
+	for _, tc := range cases {
+		got, err := ParseSlowdowns(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("ParseSlowdowns(%q) = %v, %v; want error containing %s", tc.in, got, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseSlowdowns(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 func TestRunManyMatchesRun(t *testing.T) {
 	opts := []Options{
 		{Benchmark: "gcc", Instructions: 8_000},

@@ -634,12 +634,8 @@ func (s RunSpec) PipelineConfig() (pipeline.Config, error) {
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	kind := pipeline.Base
-	if len(topo.Domains) > 1 {
-		kind = pipeline.GALS
-	}
-	cfg := pipeline.DefaultConfig(kind)
-	cfg.Topology = &topo
+	cfg := pipeline.DefaultConfig(pipeline.Base)
+	cfg.Topology = topo
 	cfg.WorkloadSeed = s.WorkloadSeed
 	cfg.PhaseSeed = s.PhaseSeed
 	cfg.AutoVoltage = !s.FreqOnly

@@ -243,10 +243,8 @@ func NewCoordinator(cfg Config) *Coordinator {
 			"Campaigns resumed from the job-store journal after a coordinator restart.")
 		c.m.recoveredJobs = reg.Counter("galsim_wal_recovered_units_total",
 			"Result slots filled from journaled completions instead of re-running.")
-	}
-	if ws, ok := cfg.Store.(interface{ WALStats() wal.Stats }); ok {
 		walGauge := func(name, help string, field func(wal.Stats) uint64) {
-			reg.GaugeFunc(name, help, func() float64 { return float64(field(ws.WALStats())) })
+			reg.GaugeFunc(name, help, func() float64 { return float64(field(cfg.Store.WALStats())) })
 		}
 		walGauge("galsim_wal_appends", "Records appended to the coordinator journal.",
 			func(s wal.Stats) uint64 { return s.Appends })
@@ -783,8 +781,8 @@ func (c *Coordinator) complete(workerID string, results []JobResult, cache campa
 // should abandon the run); an accepted checkpoint also extends the lease —
 // a long job checkpointing on schedule is alive by construction and must
 // not expire mid-run just because it outlasts the TTL. The snapshot is
-// journaled through the store's CheckpointStore side when it has one, so a
-// coordinator crash keeps the progress too.
+// journaled through the store when there is one, so a coordinator crash
+// keeps the progress too.
 func (c *Coordinator) checkpoint(req CheckpointRequest) bool {
 	now := c.now()
 	c.mu.Lock()
@@ -802,10 +800,10 @@ func (c *Coordinator) checkpoint(req CheckpointRequest) bool {
 	c.mu.Unlock()
 	c.log.Debug("job checkpointed", "request_id", reqID, "job_id", req.JobID,
 		"worker", req.WorkerID, "committed", req.Committed, "bytes", len(req.Snapshot))
-	if cs, ok := c.cfg.Store.(CheckpointStore); ok && campID != "" {
+	if c.cfg.Store != nil && campID != "" {
 		// Outside c.mu: the store fsyncs. A lost append degrades to
 		// restart-from-an-older-checkpoint after a coordinator crash.
-		if err := cs.JobCheckpoint(campID, key, req.Snapshot); err != nil {
+		if err := c.cfg.Store.JobCheckpoint(campID, key, req.Snapshot); err != nil {
 			c.log.Warn("journaling checkpoint failed", "campaign", campID,
 				"job_id", req.JobID, "error", err.Error())
 		}

@@ -184,7 +184,7 @@ type CompleteResponse struct {
 // CheckpointRequest posts one job's mid-run state snapshot (POST
 // /jobs/checkpoint). The coordinator accepts it only from the job's current
 // lease holder, stores it on the job (so a re-lease after this worker dies
-// resumes from it), and journals it through a CheckpointStore when one is
+// resumes from it), and journals it through the JobStore when one is
 // configured — making long jobs durable across both worker and coordinator
 // loss.
 type CheckpointRequest struct {

@@ -33,27 +33,23 @@ type JobStore interface {
 	// CampaignFinished marks a campaign terminal (errMsg empty on success).
 	// Stores may compact: a finished campaign's records are dead weight.
 	CampaignFinished(campaignID, errMsg string) error
+	// JobCheckpoint durably records the latest mid-run checkpoint for one
+	// in-flight unit (an accepted POST /jobs/checkpoint), keyed like
+	// JobCompleted by the spec's content key. A later checkpoint for the
+	// same key supersedes the earlier one; a completion retires it. Recover
+	// hands the latest one per unfinished unit back
+	// (RecoveredCampaign.Checkpoints), so a lost coordinator resumes long
+	// jobs from their last checkpoint instead of from zero.
+	JobCheckpoint(campaignID, specKey string, snap []byte) error
 	// Recover returns every campaign enqueued but not finished, with
 	// whatever completions were journaled for it. Called once, before the
 	// coordinator serves traffic.
 	Recover() ([]RecoveredCampaign, error)
+	// WALStats reports the journal's counters; the coordinator exports them
+	// as the galsim_wal_* metric family.
+	WALStats() wal.Stats
 	// Close releases the store's resources.
 	Close() error
-}
-
-// CheckpointStore is optionally implemented by job stores that can persist
-// mid-run execution checkpoints: the coordinator journals each accepted
-// POST /jobs/checkpoint through it, and Recover hands the latest checkpoint
-// per unfinished unit back (RecoveredCampaign.Checkpoints), so a lost
-// coordinator resumes long jobs from their last checkpoint instead of
-// from zero. Stores without it (or a nil Config.Store) simply re-run —
-// wasteful, never wrong, since execution is deterministic.
-type CheckpointStore interface {
-	// JobCheckpoint durably records the latest checkpoint for one in-flight
-	// unit, keyed like JobCompleted by the spec's content key. A later
-	// checkpoint for the same key supersedes the earlier one; a completion
-	// retires it.
-	JobCheckpoint(campaignID, specKey string, snap []byte) error
 }
 
 // RecoveredCampaign is one unfinished campaign replayed from a JobStore.
@@ -209,7 +205,7 @@ func (s *JournalStore) JobCompleted(campaignID, specKey string, stats *pipeline.
 	return nil
 }
 
-// JobCheckpoint implements CheckpointStore: the latest checkpoint per unit
+// JobCheckpoint implements JobStore: the latest checkpoint per unit
 // is kept live (superseded ones become dead log weight until the next
 // compaction rewrites the log with only the newest). A checkpoint for an
 // already-completed unit, or a finished campaign, is a stale zombie post
@@ -323,14 +319,10 @@ func (s *JournalStore) Recover() ([]RecoveredCampaign, error) {
 	return out, nil
 }
 
-// WALStats exposes the underlying log's counters; the coordinator exports
-// them as the galsim_wal_* metric family.
+// WALStats implements JobStore.
 func (s *JournalStore) WALStats() wal.Stats { return s.log.Stats() }
 
 // Close implements JobStore.
 func (s *JournalStore) Close() error { return s.log.Close() }
 
-var (
-	_ JobStore        = (*JournalStore)(nil)
-	_ CheckpointStore = (*JournalStore)(nil)
-)
+var _ JobStore = (*JournalStore)(nil)

@@ -135,17 +135,9 @@ func (d DomainID) String() string {
 // Config parameterizes a machine. The zero value is not usable; start from
 // DefaultConfig.
 type Config struct {
-	// Kind is a legacy variant label; the machine's actual clock structure
-	// lives in Topology. DefaultConfig keeps the two consistent; code that
-	// sets Topology directly may leave Kind at its DefaultConfig value (the
-	// run's statistics label is derived from the topology, not this field).
-	Kind Kind
-
 	// Topology assigns the five pipeline structures to clock domains and
-	// carries per-domain and per-link-class settings. nil selects the
-	// variant implied by Kind (BaseTopology or GALSTopology), which keeps
-	// configurations written before the topology layer working unchanged.
-	Topology *Topology
+	// carries per-domain and per-link-class settings.
+	Topology Topology
 
 	// Widths (instructions per cycle).
 	FetchWidth  int
@@ -215,23 +207,11 @@ type Config struct {
 	// paper rejected it). Ignored by the base machine.
 	LinkStyle LinkStyle
 
-	// StretchHandshake is the duration of one stretchable-clock transaction
-	// (LinkStyle == LinkStretch). Zero selects 1.5x the nominal period.
-	StretchHandshake simtime.Duration
-
-	// StretchWidth is the number of items one stretched transaction carries.
-	// Zero selects the machine width (4).
-	StretchWidth int
-
 	// Subsystem configurations.
 	Bpred  bpred.Config
 	Caches cache.HierarchyConfig
 	Power  power.Params
 	DVFS   dvfs.Params
-
-	// debugEdges, when non-nil, overrides FIFOSyncEdges per link class for
-	// ablation: [fetch, dispatch, complete, wakeup].
-	debugEdges *[4]int
 
 	// WorkloadSeed seeds the synthetic benchmark generator.
 	WorkloadSeed int64
@@ -256,8 +236,7 @@ func DefaultConfig(kind Kind) Config {
 		topo = GALSTopology()
 	}
 	cfg := Config{
-		Kind:        kind,
-		Topology:    &topo,
+		Topology:    topo,
 		FetchWidth:  4,
 		DecodeWidth: 4,
 		RenameWidth: 4,
@@ -334,7 +313,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("pipeline: slowdown[%v] = %v < 1", DomainID(d), s)
 		}
 	}
-	topo := c.topo()
+	topo := c.Topology
 	if err := topo.Validate(); err != nil {
 		return err
 	}
@@ -373,18 +352,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.Power.Validate()
-}
-
-// topo returns the machine's clock topology: the explicit one, or the
-// variant implied by Kind.
-func (c Config) topo() Topology {
-	if c.Topology != nil {
-		return *c.Topology
-	}
-	if c.Kind == GALS {
-		return GALSTopology()
-	}
-	return BaseTopology()
 }
 
 // SetUniformSlowdown sets every domain to the same slowdown (used for the

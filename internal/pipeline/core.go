@@ -235,7 +235,7 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 	}
 	c := &Core{
 		cfg:  cfg,
-		topo: cfg.topo(),
+		topo: cfg.Topology,
 		gen:  src,
 		pred: bpred.New(cfg.Bpred),
 		mem:  cache.NewHierarchy(cfg.Caches),
@@ -413,15 +413,16 @@ func voltFromTable(tbl []VoltPoint, slow float64) float64 {
 	return tbl[len(tbl)-1].Voltage
 }
 
+// stretchWidth is the number of items one stretchable-clock handshake
+// carries: the machine width.
+const stretchWidth = 4
+
 // buildLinks creates the communication fabric. A link between structures on
 // one clock is a synchronous pipe latch; a link crossing clock domains is a
 // mixed-clock FIFO (or a stretchable-clock handshake). decodeToRename never
 // crosses a boundary, so it is a latch under every topology.
 func (c *Core) buildLinks() {
 	edges := func(class LinkClass) int {
-		if c.cfg.debugEdges != nil {
-			return c.cfg.debugEdges[class]
-		}
 		if e := c.topo.Links[class].SyncEdges; e > 0 {
 			return e
 		}
@@ -433,14 +434,8 @@ func (c *Core) buildLinks() {
 		}
 		return def
 	}
-	handshake := c.cfg.StretchHandshake
-	if handshake == 0 {
-		handshake = c.cfg.NominalPeriod + c.cfg.NominalPeriod/2
-	}
-	stretchWidth := c.cfg.StretchWidth
-	if stretchWidth == 0 {
-		stretchWidth = 4
-	}
+	// One stretchable-clock handshake lasts 1.5 nominal periods.
+	handshake := c.cfg.NominalPeriod + c.cfg.NominalPeriod/2
 	instrLink := func(name string, from, to DomainID, class LinkClass) *fifo.Link[*isa.Instr] {
 		switch {
 		case !c.topo.Cross(from, to):

@@ -19,8 +19,7 @@ import (
 // through mixed-clock FIFOs (or stretchable-clock handshakes).
 
 // LinkClass identifies one class of inter-structure communication link, for
-// per-class capacity and synchronizer-depth overrides. The indices match the
-// debugEdges ablation order.
+// per-class capacity and synchronizer-depth overrides.
 type LinkClass uint8
 
 // Link classes.
