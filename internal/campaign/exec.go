@@ -105,8 +105,10 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 	}()
 	var core *pipeline.Core
 	if resume != nil {
+		// Called directly, UnmarshalJSON skips the validation pass that
+		// json.Unmarshal would add before handing it the same bytes.
 		var cs pipeline.CoreState
-		if uerr := json.Unmarshal(resume.State, &cs); uerr != nil {
+		if uerr := cs.UnmarshalJSON(resume.State); uerr != nil {
 			return pipeline.Stats{}, fmt.Errorf("campaign: decoding snapshot state: %w", uerr)
 		}
 		core, err = pipeline.RestoreCore(cfg, name, src, &cs)
@@ -170,15 +172,27 @@ func resumeSnapshot(spec RunSpec, opts ExecOpts) (*snapshot.Snapshot, error) {
 	if snap == nil {
 		return nil, nil
 	}
-	if want := spec.SnapshotKey(); snap.SpecKey != want {
-		return nil, fmt.Errorf("campaign: resume snapshot was captured under a different run configuration (its spec key %.12s..., this run's snapshot key %.12s...)",
-			snap.SpecKey, want)
-	}
-	if snap.Committed >= spec.Instructions {
-		return nil, fmt.Errorf("campaign: resume snapshot already holds %d committed instructions, at or beyond this run's %d-instruction budget",
-			snap.Committed, spec.Instructions)
+	if err := spec.CheckResume(snap); err != nil {
+		return nil, err
 	}
 	return snap, nil
+}
+
+// CheckResume reports whether snap can seed a run of this spec: it must
+// have been captured under the spec's SnapshotKey and hold fewer committed
+// instructions than the spec's budget. Every restore path applies it —
+// ExecOpts.Resume, RunSpec.Snapshot validation, and the fleet's checkpoint
+// door on both the coordinator and the worker.
+func (s RunSpec) CheckResume(snap *snapshot.Snapshot) error {
+	if want := s.SnapshotKey(); snap.SpecKey != want {
+		return fmt.Errorf("campaign: snapshot was captured under a different run configuration (its spec key %.12s..., this run's snapshot key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
+			snap.SpecKey, want)
+	}
+	if budget := s.Canonical().Instructions; snap.Committed >= budget {
+		return fmt.Errorf("campaign: snapshot already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
+			snap.Committed, budget)
+	}
+	return nil
 }
 
 // snapshotTargets expands the Warmup and CheckpointEvery settings into the
@@ -224,22 +238,31 @@ func snapshotTargets(spec RunSpec, opts ExecOpts, resume *snapshot.Snapshot) ([]
 	return targets, nil
 }
 
-// deliverSnapshot wraps one captured core state in the envelope and hands
-// it to the configured sinks.
-func deliverSnapshot(spec RunSpec, opts ExecOpts, commits uint64, cs *pipeline.CoreState) error {
+// NewSnapshot wraps one captured core state of spec's run in a snapshot:
+// the state is marshaled in one pass, its workload source position inline.
+func NewSnapshot(spec RunSpec, commits uint64, cs *pipeline.CoreState) (*snapshot.Snapshot, error) {
 	stateJSON, err := json.Marshal(cs)
 	if err != nil {
-		return fmt.Errorf("encoding state: %w", err)
+		return nil, fmt.Errorf("encoding state: %w", err)
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		return fmt.Errorf("encoding spec: %w", err)
+		return nil, fmt.Errorf("encoding spec: %w", err)
 	}
-	snap := &snapshot.Snapshot{
+	return &snapshot.Snapshot{
 		SpecKey:   spec.SnapshotKey(),
 		SpecJSON:  specJSON,
 		Committed: commits,
 		State:     stateJSON,
+	}, nil
+}
+
+// deliverSnapshot wraps one captured core state in a snapshot and hands it
+// to the configured sinks.
+func deliverSnapshot(spec RunSpec, opts ExecOpts, commits uint64, cs *pipeline.CoreState) error {
+	snap, err := NewSnapshot(spec, commits, cs)
+	if err != nil {
+		return err
 	}
 	if opts.SnapshotOut != "" {
 		if err := snapshot.WriteFile(opts.SnapshotOut, snap); err != nil {

@@ -3,13 +3,16 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"galsim/internal/pipeline"
 	"galsim/internal/snapshot"
 	"galsim/internal/timeline"
 )
@@ -191,5 +194,102 @@ func TestTraceLengthError(t *testing.T) {
 		t.Errorf("divergent over-length replay failed: %v", err)
 	} else if st.Committed != 5_000 {
 		t.Errorf("divergent replay committed %d, want 5000", st.Committed)
+	}
+}
+
+// recordTrace writes a cold run of spec as a trace file and returns its path.
+func recordTrace(t *testing.T, spec RunSpec) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rec.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecuteOpts(spec, ExecOpts{TraceOut: f}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSnapshotBytesMatchReference is the byte-identity differential for the
+// single-pass checkpoint encoders. For real captures from every kind of
+// workload source it compares the state bytes NewSnapshot produces, and
+// the envelope EncodeBytes returns, with a test-local reference encoder:
+// plain json.Marshal of the source state on its own, then of the whole
+// CoreState and Snapshot, which re-compacts each embedded RawMessage.
+func TestSnapshotBytesMatchReference(t *testing.T) {
+	const budget = 9_000
+	trace := recordTrace(t, RunSpec{Benchmark: "gcc", Machine: "gals", Instructions: budget})
+	cases := []struct {
+		name string
+		spec RunSpec
+	}{
+		{"base/gcc", RunSpec{Benchmark: "gcc", Machine: "base"}},
+		{"gals/gcc", RunSpec{Benchmark: "gcc", Machine: "gals"}},
+		{"base/swim", RunSpec{Benchmark: "swim", Machine: "base"}},
+		{"gals/swim", RunSpec{Benchmark: "swim", Machine: "gals"}},
+		{"gals/phased", RunSpec{Profile: customProfile("phased"), Machine: "gals"}},
+		{"gals/trace", RunSpec{Trace: &TraceRef{Path: trace}, Machine: "gals"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Instructions = budget
+			spec := tc.spec.Canonical()
+			cfg, err := spec.PipelineConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, name, err := spec.NewSource()
+			if err != nil {
+				t.Fatal(err)
+			}
+			core := pipeline.NewCoreWithSource(cfg, name, src)
+			captures := 0
+			if err := core.SnapshotAt([]uint64{3_000, 6_000}, func(commits uint64, cs *pipeline.CoreState) {
+				captures++
+				got, err := NewSnapshot(spec, commits, cs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				source, err := json.Marshal(cs.Source)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := *cs
+				ref.Source = json.RawMessage(source)
+				wantState, err := json.Marshal(&ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.State, wantState) {
+					t.Errorf("capture at %d: state bytes differ from the reference encoder", commits)
+				}
+				env, err := got.EncodeBytes()
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := json.Marshal(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hdr := make([]byte, 16, 16+len(body))
+				copy(hdr, "GSNP")
+				binary.LittleEndian.PutUint32(hdr[4:8], snapshot.Version)
+				binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
+				binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+				if !bytes.Equal(env, append(hdr, body...)) {
+					t.Errorf("capture at %d: envelope differs from the reference encoder", commits)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			core.Run(spec.Instructions)
+			if captures != 2 {
+				t.Fatalf("%d captures, want 2", captures)
+			}
+		})
 	}
 }

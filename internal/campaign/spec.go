@@ -475,13 +475,8 @@ func (s RunSpec) Validate() error {
 					s.Snapshot.Path, digest, s.Snapshot.SHA256)
 			}
 		}
-		if want := s.SnapshotKey(); snap.SpecKey != want {
-			return fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's snapshot key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
-				s.Snapshot.Path, snap.SpecKey, want)
-		}
-		if budget := s.Canonical().Instructions; snap.Committed >= budget {
-			return fmt.Errorf("campaign: snapshot %s already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
-				s.Snapshot.Path, snap.Committed, budget)
+		if err := s.CheckResume(snap); err != nil {
+			return fmt.Errorf("%w (snapshot file %s)", err, s.Snapshot.Path)
 		}
 	}
 	ms, err := s.machineSpec()

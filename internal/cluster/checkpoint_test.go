@@ -3,9 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +16,8 @@ import (
 	"time"
 
 	"galsim/internal/campaign"
+	"galsim/internal/httpjson"
+	"galsim/internal/pipeline"
 	"galsim/internal/snapshot"
 	"galsim/internal/telemetry"
 	"galsim/internal/wal"
@@ -23,15 +28,16 @@ func ckptSpec() campaign.RunSpec {
 	return campaign.RunSpec{Benchmark: "gcc", Machine: "gals", Instructions: 20_000}.Canonical()
 }
 
-// captureCheckpoint runs the spec's prefix for real and returns an encoded
-// checkpoint at the given commit count — exactly what a worker posts.
-func captureCheckpoint(t *testing.T, spec campaign.RunSpec, at uint64) []byte {
+// captureCheckpoint runs the spec's prefix for real and returns the encoded
+// checkpoint at the first decode-cycle boundary at or above the given
+// commit count — exactly what a worker posts.
+func captureCheckpoint(t testing.TB, spec campaign.RunSpec, at uint64) []byte {
 	t.Helper()
 	var blob []byte
 	_, err := campaign.ExecuteOpts(spec, campaign.ExecOpts{
 		CheckpointEvery: at,
 		OnSnapshot: func(sn *snapshot.Snapshot) {
-			if sn.Committed == at {
+			if sn.Committed >= at && blob == nil {
 				b, err := sn.EncodeBytes()
 				if err != nil {
 					t.Fatal(err)
@@ -73,15 +79,27 @@ func TestCheckpointStateMachine(t *testing.T) {
 		t.Error("fresh job carries a checkpoint")
 	}
 	blob := captureCheckpoint(t, spec, 8_000)
+	post := func(worker string) bool {
+		t.Helper()
+		snap, err := snapshot.DecodeBytes(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted, err := c.checkpoint(worker, jobs[0].ID, blob, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return accepted
+	}
 
 	// A worker that does not hold the lease is not believed.
-	if c.checkpoint(CheckpointRequest{WorkerID: "w2", JobID: jobs[0].ID, Committed: 8_000, Snapshot: blob}) {
+	if post("w2") {
 		t.Error("checkpoint accepted from a non-holder")
 	}
 	// The holder checkpoints 59s in; the original lease would expire at 60s,
 	// but an accepted checkpoint is proof of life and renews it.
 	clock.Advance(59 * time.Second)
-	if !c.checkpoint(CheckpointRequest{WorkerID: "w1", JobID: jobs[0].ID, Committed: 8_000, Snapshot: blob}) {
+	if !post("w1") {
 		t.Fatal("holder's checkpoint rejected")
 	}
 	clock.Advance(30 * time.Second) // 89s: past the original deadline, inside the renewed one
@@ -99,7 +117,7 @@ func TestCheckpointStateMachine(t *testing.T) {
 		t.Fatal("re-leased job does not carry the posted checkpoint")
 	}
 	// The zombie's late checkpoint is now rejected.
-	if c.checkpoint(CheckpointRequest{WorkerID: "w1", JobID: jobs[0].ID, Committed: 16_000, Snapshot: blob}) {
+	if post("w1") {
 		t.Error("zombie checkpoint accepted after re-lease")
 	}
 	// w2 resumes from the checkpoint; the result must be byte-identical to
@@ -160,15 +178,14 @@ func TestCheckpointSurvivesCoordinatorCrash(t *testing.T) {
 	// A corrupt checkpoint is rejected at the door with a typed reason.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-1] ^= 0xFF
-	var resp CheckpointResponse
-	if code := doJSON(t, "POST", ts.URL+"/jobs/checkpoint",
-		CheckpointRequest{WorkerID: "w1", JobID: jobs[0].ID, Committed: 8_000, Snapshot: bad}, nil); code != http.StatusBadRequest {
-		t.Fatalf("corrupt checkpoint: HTTP %d, want 400", code)
+	w1 := &Worker{Coordinator: ts.URL, ID: "w1", Client: ts.Client()}
+	if _, err := w1.postCheckpoint(context.Background(), jobs[0].ID, 8_000, bad); err == nil ||
+		!strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("corrupt checkpoint: got %v, want HTTP 400", err)
 	}
 	// The good one lands over the real endpoint and reaches the journal.
-	if code := doJSON(t, "POST", ts.URL+"/jobs/checkpoint",
-		CheckpointRequest{WorkerID: "w1", JobID: jobs[0].ID, Committed: 8_000, Snapshot: blob}, &resp); code != 200 || !resp.Accepted {
-		t.Fatalf("checkpoint post: HTTP %d accepted=%v", code, resp.Accepted)
+	if accepted, err := w1.postCheckpoint(context.Background(), jobs[0].ID, 8_000, blob); err != nil || !accepted {
+		t.Fatalf("checkpoint post: accepted=%v, %v", accepted, err)
 	}
 
 	// Crash: the coordinator process dies (we just abandon c1) and the store
@@ -369,5 +386,176 @@ func TestJournalCheckpointLifecycle(t *testing.T) {
 	}
 	if len(rec.Completed) != 1 {
 		t.Errorf("recovered %d completions, want 1", len(rec.Completed))
+	}
+}
+
+// memStore is an in-memory JobStore that counts checkpoint appends.
+type memStore struct{ ckpts atomic.Int64 }
+
+func (*memStore) CampaignEnqueued(string, string, campaign.Priority, []campaign.RunSpec) error {
+	return nil
+}
+func (*memStore) JobCompleted(string, string, *pipeline.Stats) error { return nil }
+func (*memStore) CampaignFinished(string, string) error              { return nil }
+func (s *memStore) JobCheckpoint(string, string, []byte) error {
+	s.ckpts.Add(1)
+	return nil
+}
+func (*memStore) Recover() ([]RecoveredCampaign, error) { return nil, nil }
+func (*memStore) WALStats() wal.Stats                   { return wal.Stats{} }
+func (*memStore) Close() error                          { return nil }
+
+// ckptFixture is a journaled coordinator holding one ckptSpec job leased
+// to w1 under a clock that never moves, so the lease never expires.
+type ckptFixture struct {
+	c     *Coordinator
+	store *memStore
+	jobID uint64
+}
+
+func newCkptFixture(t testing.TB) *ckptFixture {
+	t.Helper()
+	fx := &ckptFixture{store: &memStore{}}
+	fx.c = NewCoordinator(Config{LeaseTTL: time.Minute, Now: newFakeClock().Now, Store: fx.store})
+	if _, err := fx.c.submit([]campaign.RunSpec{ckptSpec()}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
+		t.Fatal(err)
+	}
+	jobs, _ := fx.c.tryLease("w1", 1, campaign.CacheStats{})
+	if len(jobs) != 1 {
+		t.Fatal("lease failed")
+	}
+	fx.jobID = jobs[0].ID
+	return fx
+}
+
+// query is the query string a worker posts a checkpoint for the job under.
+func (fx *ckptFixture) query(worker string, committed uint64) string {
+	return url.Values{
+		"worker_id": {worker},
+		"job_id":    {strconv.FormatUint(fx.jobID, 10)},
+		"committed": {strconv.FormatUint(committed, 10)},
+	}.Encode()
+}
+
+// committedOf returns the committed count inside an encoded checkpoint.
+func committedOf(t testing.TB, blob []byte) uint64 {
+	t.Helper()
+	snap, err := snapshot.DecodeBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Committed
+}
+
+// heldCheckpoint returns the checkpoint the coordinator stored on the job.
+func (fx *ckptFixture) heldCheckpoint() []byte {
+	fx.c.mu.Lock()
+	defer fx.c.mu.Unlock()
+	return fx.c.jobs[fx.jobID].checkpoint
+}
+
+// TestCheckpointPostRejections pins the checkpoint door: every malformed,
+// corrupt, oversized or foreign post is answered with a typed 4xx and
+// neither stored on the job nor journaled. A checkpoint of another spec, or
+// one already at the job's budget, used to be accepted and attached to the
+// re-lease, where every resumed attempt then failed until MaxAttempts.
+func TestCheckpointPostRejections(t *testing.T) {
+	fx := newCkptFixture(t)
+	ts := httptest.NewServer(fx.c.Handler())
+	defer ts.Close()
+	good := captureCheckpoint(t, ckptSpec(), 8_000)
+	corrupt := append([]byte(nil), good...)
+	corrupt[len(corrupt)-1] ^= 0xFF
+	foreign := captureCheckpoint(t, campaign.RunSpec{Benchmark: "perl", Machine: "gals", Instructions: 20_000}.Canonical(), 8_000)
+	longer := ckptSpec()
+	longer.Instructions = 30_000 // same snapshot key, so only the budget check can catch it
+	spent := captureCheckpoint(t, longer, 20_000)
+	n := committedOf(t, good)
+
+	cases := []struct {
+		name   string
+		query  string
+		body   []byte
+		status int
+		code   string
+	}{
+		{"no query", "", good, 400, CodeBadCheckpoint},
+		{"unknown parameter", fx.query("w1", n) + "&extra=1", good, 400, CodeBadCheckpoint},
+		{"repeated parameter", fx.query("w1", n) + "&worker_id=w1", good, 400, CodeBadCheckpoint},
+		{"non-numeric job_id", "worker_id=w1&job_id=x&committed=1", good, 400, CodeBadCheckpoint},
+		{"corrupt envelope", fx.query("w1", n), corrupt, 400, CodeBadCheckpoint},
+		{"committed disagrees with envelope", fx.query("w1", n-1), good, 400, CodeBadCheckpoint},
+		{"another spec", fx.query("w1", committedOf(t, foreign)), foreign, 400, CodeCheckpointMismatch},
+		{"at the budget", fx.query("w1", committedOf(t, spent)), spent, 400, CodeCheckpointMismatch},
+		{"oversized body", fx.query("w1", n), make([]byte, maxBodyBytes+1), 413, httpjson.CodeBodyTooLarge},
+		{"not the lease holder", fx.query("w2", n), good, 200, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/jobs/checkpoint?"+tc.query, "application/octet-stream", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out struct {
+				Accepted    bool
+				Error, Code string
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status || out.Code != tc.code || out.Accepted {
+				t.Errorf("HTTP %d code %q accepted=%v (%s), want HTTP %d code %q, not accepted",
+					resp.StatusCode, out.Code, out.Accepted, out.Error, tc.status, tc.code)
+			}
+		})
+	}
+	if n := fx.store.ckpts.Load(); n != 0 {
+		t.Errorf("%d rejected checkpoints journaled", n)
+	}
+	if fx.heldCheckpoint() != nil {
+		t.Error("a rejected checkpoint was stored on the job")
+	}
+
+	// The holder's own checkpoint still lands, byte for byte.
+	w1 := &Worker{Coordinator: ts.URL, ID: "w1", Client: ts.Client()}
+	if accepted, err := w1.postCheckpoint(context.Background(), fx.jobID, n, good); err != nil || !accepted {
+		t.Fatalf("holder's checkpoint: accepted=%v, %v", accepted, err)
+	}
+	if n := fx.store.ckpts.Load(); n != 1 || !bytes.Equal(fx.heldCheckpoint(), good) {
+		t.Errorf("accepted checkpoint: %d journaled, stored bytes equal=%v", n, bytes.Equal(fx.heldCheckpoint(), good))
+	}
+}
+
+// TestWorkerRunsColdOnMismatchedCheckpoint is the worker half of the same
+// fix: a job arriving with a checkpoint that cannot seed its spec runs cold,
+// with a warning, and still returns the straight run's stats.
+func TestWorkerRunsColdOnMismatchedCheckpoint(t *testing.T) {
+	spec := ckptSpec()
+	straight, err := campaign.Execute(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longer := spec
+	longer.Instructions = 30_000
+	for name, blob := range map[string][]byte{
+		"another spec":  captureCheckpoint(t, campaign.RunSpec{Benchmark: "perl", Machine: "gals", Instructions: 20_000}.Canonical(), 8_000),
+		"at the budget": captureCheckpoint(t, longer, 20_000),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var logs syncBuffer
+			w := &Worker{ID: "w1", Engine: campaign.NewEngine(1), CheckpointEvery: spec.Instructions,
+				Log: slog.New(slog.NewTextHandler(&logs, nil))}
+			st, err := w.runCheckpointed(context.Background(), Job{ID: 1, Spec: spec, Checkpoint: blob})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mustJSON(t, st), mustJSON(t, straight)) {
+				t.Error("cold fallback differs from the straight run")
+			}
+			if !strings.Contains(logs.String(), "running cold") {
+				t.Error("no cold-run warning logged")
+			}
+		})
 	}
 }

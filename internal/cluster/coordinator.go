@@ -12,6 +12,7 @@ import (
 
 	"galsim/internal/campaign"
 	"galsim/internal/pipeline"
+	"galsim/internal/snapshot"
 	"galsim/internal/telemetry"
 	"galsim/internal/timeline"
 	"galsim/internal/wal"
@@ -776,39 +777,51 @@ func (c *Coordinator) complete(workerID string, results []JobResult, cache campa
 	return accepted
 }
 
-// checkpoint records a mid-run snapshot for a leased job. Only the current
-// lease holder is believed (a zombie whose lease expired gets false and
-// should abandon the run); an accepted checkpoint also extends the lease —
-// a long job checkpointing on schedule is alive by construction and must
-// not expire mid-run just because it outlasts the TTL. The snapshot is
-// journaled through the store when there is one, so a coordinator crash
-// keeps the progress too.
-func (c *Coordinator) checkpoint(req CheckpointRequest) bool {
+// checkpoint records a mid-run snapshot for a leased job: blob is the
+// envelope as posted, snap its decoding. Only the current lease holder is
+// believed (a zombie whose lease expired gets false and should abandon the
+// run); an accepted checkpoint also extends the lease — a long job
+// checkpointing on schedule is alive by construction and must not expire
+// mid-run just because it outlasts the TTL. A snapshot that cannot seed the
+// job (campaign.RunSpec.CheckResume) is an error: stored, it would make
+// every resumed attempt fail. The blob is journaled through the store when
+// there is one, so a coordinator crash keeps the progress too.
+func (c *Coordinator) checkpoint(workerID string, jobID uint64, blob []byte, snap *snapshot.Snapshot) (bool, error) {
+	c.mu.Lock()
+	j, ok := c.jobs[jobID]
+	c.mu.Unlock()
+	if ok {
+		// Outside c.mu: a trace spec's snapshot key reads the trace header.
+		// A job's spec never changes, so the later re-lookup sees the same.
+		if err := j.spec.CheckResume(snap); err != nil {
+			return false, fmt.Errorf("checkpoint for job %d rejected: %w", jobID, err)
+		}
+	}
 	now := c.now()
 	c.mu.Lock()
-	c.touchWorkerLocked(req.WorkerID, now)
-	j, ok := c.jobs[req.JobID]
-	if !ok || j.state != jobLeased || j.worker != req.WorkerID {
+	c.touchWorkerLocked(workerID, now)
+	j, ok = c.jobs[jobID]
+	if !ok || j.state != jobLeased || j.worker != workerID {
 		c.mu.Unlock()
-		return false
+		return false, nil
 	}
-	j.checkpoint = req.Snapshot
-	j.ckptCommitted = req.Committed
+	j.checkpoint = blob
+	j.ckptCommitted = snap.Committed
 	j.deadline = now.Add(c.cfg.LeaseTTL)
-	c.m.checkpoints.Inc(req.WorkerID)
+	c.m.checkpoints.Inc(workerID)
 	campID, key, reqID := j.camp.id, j.spec.Key(), j.camp.requestID
 	c.mu.Unlock()
-	c.log.Debug("job checkpointed", "request_id", reqID, "job_id", req.JobID,
-		"worker", req.WorkerID, "committed", req.Committed, "bytes", len(req.Snapshot))
+	c.log.Debug("job checkpointed", "request_id", reqID, "job_id", jobID,
+		"worker", workerID, "committed", snap.Committed, "bytes", len(blob))
 	if c.cfg.Store != nil && campID != "" {
 		// Outside c.mu: the store fsyncs. A lost append degrades to
 		// restart-from-an-older-checkpoint after a coordinator crash.
-		if err := c.cfg.Store.JobCheckpoint(campID, key, req.Snapshot); err != nil {
+		if err := c.cfg.Store.JobCheckpoint(campID, key, blob); err != nil {
 			c.log.Warn("journaling checkpoint failed", "campaign", campID,
-				"job_id", req.JobID, "error", err.Error())
+				"job_id", jobID, "error", err.Error())
 		}
 	}
-	return true
+	return true, nil
 }
 
 // leaseSpanLocked closes the job's current lease span — one span per grant,

@@ -2,10 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"testing"
 
 	"galsim/internal/campaign"
 	"galsim/internal/pipeline"
+	"galsim/internal/snapshot"
 )
 
 // FuzzJobCodec fuzzes the job/result wire encoding: decoding arbitrary
@@ -80,4 +86,64 @@ func TestJobCodecRejectsMalformed(t *testing.T) {
 	if got.ID != 9 || got.Spec.Benchmark != "swim" || got.Spec.Key() != j.Spec.Key() {
 		t.Errorf("round-trip changed the job: %+v", got)
 	}
+}
+
+// FuzzCheckpointPost drives POST /jobs/checkpoint with arbitrary bodies and
+// query strings against a coordinator holding one job leased to w1. The
+// endpoint never answers 5xx. It answers 200 only for a body that decodes
+// as a snapshot envelope, and accepts only one that can also seed the leased
+// job and comes from its holder; everything else is a 4xx JSON error with a
+// code. A post that is not accepted journals nothing.
+func FuzzCheckpointPost(f *testing.F) {
+	fx := newCkptFixture(f)
+	good := captureCheckpoint(f, ckptSpec(), 8_000)
+	n := committedOf(f, good)
+	foreign := captureCheckpoint(f, campaign.RunSpec{Benchmark: "perl", Machine: "gals", Instructions: 20_000}.Canonical(), 8_000)
+	f.Add(good, fx.query("w1", n))
+	f.Add(good, fx.query("w2", n))
+	f.Add(good, fx.query("w1", n+1))
+	f.Add(good[:len(good)/2], fx.query("w1", n))
+	f.Add(foreign, fx.query("w1", committedOf(f, foreign)))
+	f.Add([]byte{}, "")
+	f.Add([]byte("GSNP"), "worker_id=w1&job_id=1&committed=0&x=%zz")
+	h := fx.c.Handler()
+	f.Fuzz(func(t *testing.T, body []byte, rawQuery string) {
+		before := fx.store.ckpts.Load()
+		req := httptest.NewRequest(http.MethodPost, "/jobs/checkpoint", bytes.NewReader(body))
+		req.URL.RawQuery = rawQuery
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var out struct {
+			Accepted    bool
+			Error, Code string
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("HTTP %d with a non-JSON body %q", rec.Code, rec.Body.Bytes())
+		}
+		switch {
+		case rec.Code == http.StatusOK:
+			snap, err := snapshot.DecodeBytes(body)
+			if err != nil {
+				t.Fatalf("HTTP 200 for a body that does not decode: %v", err)
+			}
+			q, _ := url.ParseQuery(rawQuery)
+			if out.Accepted && (q.Get("worker_id") != "w1" || q.Get("job_id") != strconv.FormatUint(fx.jobID, 10) ||
+				ckptSpec().CheckResume(snap) != nil) {
+				t.Fatalf("accepted a checkpoint that is not the holder's for the leased job (query %q)", rawQuery)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			if out.Error == "" || out.Code == "" {
+				t.Fatalf("HTTP %d without a typed error: %q", rec.Code, rec.Body.Bytes())
+			}
+		default:
+			t.Fatalf("HTTP %d: %q", rec.Code, rec.Body.Bytes())
+		}
+		want := int64(0)
+		if out.Accepted {
+			want = 1
+		}
+		if got := fx.store.ckpts.Load() - before; got != want {
+			t.Fatalf("accepted=%v journaled %d checkpoints", out.Accepted, got)
+		}
+	})
 }

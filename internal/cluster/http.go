@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
 	"galsim/internal/httpjson"
@@ -11,6 +13,8 @@ import (
 
 // maxBodyBytes bounds fleet-endpoint request bodies. Completion batches
 // carry full Stats structs, but even a generous batch stays far under this.
+// A checkpoint body is the raw snapshot envelope, so for checkpoints this
+// bounds the envelope itself (a gcc capture is about 0.8 MB).
 const maxBodyBytes = 8 << 20
 
 // maxLeaseWait caps how long one lease request may long-poll; workers
@@ -22,9 +26,23 @@ const maxLeaseWait = 30 * time.Second
 //	POST /join             explicit worker registration
 //	POST /jobs/lease       lease up to N jobs (long-polls while idle)
 //	POST /jobs/complete    post finished jobs (streamed per job)
-//	POST /jobs/checkpoint  post a leased job's mid-run snapshot
+//	POST /jobs/checkpoint  post a leased job's mid-run snapshot (raw body)
 //	GET  /stats            aggregated fleet stats (see FleetStats)
 //	GET  /metrics          Prometheus text exposition of the fleet metrics
+//
+// All bodies are JSON except the checkpoint post's: there the body is the
+// snapshot envelope itself (internal/snapshot), sent as
+// application/octet-stream and journaled byte for byte, with the poster in
+// the query string:
+//
+//	POST /jobs/checkpoint?worker_id=W&job_id=J&committed=N
+//
+// committed must equal the envelope's own count. The 8 MiB maxBodyBytes
+// limit applies to the envelope itself. A malformed query or envelope is
+// answered 400 with code bad_checkpoint, a snapshot that cannot seed the job
+// 400 with code checkpoint_mismatch, an oversized body 413 with code
+// body_too_large, and a post from a worker that no longer holds the lease
+// 200 with accepted:false.
 //
 // The paths are chosen so a service.Server can be mounted beneath at "/"
 // (as cmd/galsim-fleet does): ServeMux prefers the more specific pattern,
@@ -140,21 +158,57 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	var req CheckpointRequest
-	if !decodeBody(w, r, &req) {
+	workerID, jobID, committed, err := checkpointQuery(r.URL.RawQuery)
+	if err != nil {
+		httpjson.ErrorCode(w, http.StatusBadRequest, CodeBadCheckpoint, err)
 		return
 	}
-	if req.WorkerID == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("worker_id is required"))
+	blob, ok := httpjson.ReadBody(w, r, maxBodyBytes)
+	if !ok {
 		return
 	}
 	// Validate the envelope before anything is stored or journaled: a
 	// corrupt checkpoint fails typed here, never a partial restore later.
-	if _, err := snapshot.DecodeBytes(req.Snapshot); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("checkpoint for job %d rejected: %w", req.JobID, err))
+	snap, err := snapshot.DecodeBytes(blob)
+	if err == nil && snap.Committed != committed {
+		err = fmt.Errorf("query says committed=%d, the snapshot holds %d", committed, snap.Committed)
+	}
+	if err != nil {
+		httpjson.ErrorCode(w, http.StatusBadRequest, CodeBadCheckpoint,
+			fmt.Errorf("checkpoint for job %d rejected: %w", jobID, err))
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointResponse{Accepted: c.checkpoint(req)})
+	accepted, err := c.checkpoint(workerID, jobID, blob, snap)
+	if err != nil {
+		httpjson.ErrorCode(w, http.StatusBadRequest, CodeCheckpointMismatch, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, CheckpointResponse{Accepted: accepted})
+}
+
+// checkpointQuery parses the query string of POST /jobs/checkpoint as
+// strictly as the JSON endpoints parse their bodies: exactly worker_id,
+// job_id and committed, each once.
+func checkpointQuery(raw string) (workerID string, jobID, committed uint64, err error) {
+	q, err := url.ParseQuery(raw)
+	if err != nil {
+		return "", 0, 0, err
+	}
+	for k, v := range q {
+		if (k != "worker_id" && k != "job_id" && k != "committed") || len(v) != 1 {
+			return "", 0, 0, fmt.Errorf("unexpected or repeated query parameter %q", k)
+		}
+	}
+	if workerID = q.Get("worker_id"); workerID == "" {
+		return "", 0, 0, fmt.Errorf("worker_id is required")
+	}
+	if jobID, err = strconv.ParseUint(q.Get("job_id"), 10, 64); err != nil {
+		return "", 0, 0, fmt.Errorf("job_id: %w", err)
+	}
+	if committed, err = strconv.ParseUint(q.Get("committed"), 10, 64); err != nil {
+		return "", 0, 0, fmt.Errorf("committed: %w", err)
+	}
+	return workerID, jobID, committed, nil
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -48,8 +48,8 @@ type Job struct {
 	// Checkpoint, when present, is an encoded mid-run state snapshot (see
 	// internal/snapshot) posted by a previous holder of this job: the worker
 	// resumes execution from it instead of re-simulating the prefix. A
-	// checkpoint that fails its typed validation is discarded for a cold
-	// run — never a partial restore.
+	// checkpoint that fails its typed validation, or cannot seed this spec,
+	// is discarded for a cold run — never a partial restore.
 	Checkpoint []byte `json:"checkpoint,omitempty"`
 }
 
@@ -181,26 +181,28 @@ type CompleteResponse struct {
 	Accepted int `json:"accepted"`
 }
 
-// CheckpointRequest posts one job's mid-run state snapshot (POST
-// /jobs/checkpoint). The coordinator accepts it only from the job's current
-// lease holder, stores it on the job (so a re-lease after this worker dies
-// resumes from it), and journals it through the JobStore when one is
-// configured — making long jobs durable across both worker and coordinator
-// loss.
-type CheckpointRequest struct {
-	WorkerID string `json:"worker_id"`
-	JobID    uint64 `json:"job_id"`
-	// Committed is the snapshot's committed-instruction count, for logs and
-	// fleet visibility; the authoritative value lives inside the snapshot.
-	Committed uint64 `json:"committed"`
-	// Snapshot is the envelope-encoded snapshot (internal/snapshot).
-	Snapshot []byte `json:"snapshot"`
-}
+// Error codes of a rejected POST /jobs/checkpoint (see httpjson.ErrorCode).
+const (
+	// CodeBadCheckpoint: a malformed query string, or a body that is not a
+	// valid snapshot envelope.
+	CodeBadCheckpoint = "bad_checkpoint"
+	// CodeCheckpointMismatch: a valid snapshot that cannot seed the job it
+	// was posted for — captured under another run configuration, or
+	// already at or past the job's instruction budget.
+	CodeCheckpointMismatch = "checkpoint_mismatch"
+)
 
-// CheckpointResponse acknowledges a checkpoint. Accepted is false when the
-// posting worker no longer holds the job's lease — its run is now a zombie
-// whose eventual completion may still win (results are deterministic), but
-// its checkpoints no longer matter.
+// CheckpointResponse acknowledges a checkpoint. The request has no JSON
+// form: its body is the raw snapshot envelope (see Coordinator.Register).
+// The coordinator accepts it only from the job's current lease holder,
+// stores it on the job so a re-lease after this worker dies resumes from
+// it, and journals those exact bytes through the JobStore when one is
+// configured, making long jobs durable across both worker and coordinator
+// loss.
+//
+// Accepted is false when the posting worker no longer holds the job's
+// lease — its run is now a zombie whose eventual completion may still win
+// (results are deterministic), but its checkpoints no longer matter.
 type CheckpointResponse struct {
 	Accepted bool `json:"accepted"`
 }

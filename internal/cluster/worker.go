@@ -10,7 +10,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -296,15 +298,19 @@ func (w *Worker) lease(ctx context.Context) (LeaseResponse, error) {
 
 // runCheckpointed executes one job under the checkpoint regime: resume from
 // the job's attached checkpoint when it has a valid one (a checkpoint that
-// fails its typed validation is discarded for a cold run — never a partial
-// restore), and post a fresh checkpoint to the coordinator every
-// CheckpointEvery committed instructions. A rejected post (this worker lost
+// fails its typed validation, or campaign.RunSpec.CheckResume, is discarded
+// for a cold run — never a partial or doomed restore), and post a fresh
+// checkpoint to the coordinator every CheckpointEvery committed
+// instructions. A rejected post (this worker lost
 // the lease) or an unreachable coordinator never fails the run: the
 // completion retry path settles who wins.
 func (w *Worker) runCheckpointed(ctx context.Context, jb Job) (pipeline.Stats, error) {
 	var resume *snapshot.Snapshot
 	if len(jb.Checkpoint) > 0 {
 		snap, err := snapshot.DecodeBytes(jb.Checkpoint)
+		if err == nil {
+			err = jb.Spec.CheckResume(snap)
+		}
 		if err != nil {
 			w.log().Warn("job checkpoint unusable; running cold", "worker", w.ID,
 				"job_id", jb.ID, "request_id", jb.RequestID, "error", err)
@@ -320,18 +326,12 @@ func (w *Worker) runCheckpointed(ctx context.Context, jb Job) (pipeline.Stats, e
 			w.log().Warn("encoding checkpoint failed", "worker", w.ID, "job_id", jb.ID, "error", err)
 			return
 		}
-		var resp CheckpointResponse
-		err = w.post(ctx, "/jobs/checkpoint", CheckpointRequest{
-			WorkerID:  w.ID,
-			JobID:     jb.ID,
-			Committed: sn.Committed,
-			Snapshot:  blob,
-		}, &resp)
+		accepted, err := w.postCheckpoint(ctx, jb.ID, sn.Committed, blob)
 		switch {
 		case err != nil:
 			w.log().Warn("posting checkpoint failed", "worker", w.ID, "job_id", jb.ID,
 				"request_id", jb.RequestID, "error", err)
-		case !resp.Accepted:
+		case !accepted:
 			w.log().Warn("checkpoint rejected: lease no longer held", "worker", w.ID,
 				"job_id", jb.ID, "request_id", jb.RequestID)
 		default:
@@ -342,6 +342,19 @@ func (w *Worker) runCheckpointed(ctx context.Context, jb Job) (pipeline.Stats, e
 	st, _, err := w.Engine.RunOpts(ctx, jb.Spec, campaign.ExecOpts{
 		CheckpointEvery: w.CheckpointEvery, OnSnapshot: onSnap, Resume: resume})
 	return st, err
+}
+
+// postCheckpoint sends one snapshot envelope to POST /jobs/checkpoint as
+// the raw request body, and reports whether the coordinator accepted it.
+func (w *Worker) postCheckpoint(ctx context.Context, jobID, committed uint64, blob []byte) (bool, error) {
+	q := url.Values{
+		"worker_id": {w.ID},
+		"job_id":    {strconv.FormatUint(jobID, 10)},
+		"committed": {strconv.FormatUint(committed, 10)},
+	}
+	var resp CheckpointResponse
+	err := w.send(ctx, "/jobs/checkpoint?"+q.Encode(), "application/octet-stream", "", blob, &resp)
+	return resp.Accepted, err
 }
 
 // maxSimSpans bounds how many in-sim windows one traced job ships back:
@@ -445,11 +458,17 @@ func (w *Worker) postTrace(ctx context.Context, path, traceparent string, in, ou
 	if err != nil {
 		return fmt.Errorf("encoding %s request: %w", path, err)
 	}
+	return w.send(ctx, path, "application/json", traceparent, body, out)
+}
+
+// send POSTs body to the coordinator and strictly decodes the JSON answer
+// into out.
+func (w *Worker) send(ctx context.Context, path, contentType, traceparent string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	if w.APIKey != "" {
 		req.Header.Set("Authorization", "Bearer "+w.APIKey)
 	}

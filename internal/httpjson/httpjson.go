@@ -5,6 +5,7 @@
 package httpjson
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,14 +44,36 @@ func Decode(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) bool 
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			ErrorCode(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
-			return false
-		}
-		Error(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+		bodyError(w, "decoding", err)
 		return false
 	}
 	return true
+}
+
+// ReadBody reads a raw request body of at most maxBytes, answering an
+// oversized one with 413 and CodeBodyTooLarge exactly as Decode does.
+// Returns false when a response was written.
+func ReadBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, bool) {
+	// Size the buffer from Content-Length so a large body is read without
+	// regrowing; the reader still enforces maxBytes.
+	n := r.ContentLength
+	if n < 0 || n > maxBytes {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes)); err != nil {
+		bodyError(w, "reading", err)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+func bodyError(w http.ResponseWriter, verb string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		ErrorCode(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+		return
+	}
+	Error(w, http.StatusBadRequest, fmt.Errorf("%s request body: %w", verb, err))
 }

@@ -106,8 +106,12 @@ type SamplerState struct {
 type CoreState struct {
 	// Records holds every in-flight instruction once; structures reference
 	// records by index.
-	Records []isa.Instr     `json:"records,omitempty"`
-	Source  json.RawMessage `json:"source"`
+	Records []isa.Instr `json:"records,omitempty"`
+	// Source is the workload source's position: the typed value its
+	// CaptureSourceState returned (so json.Marshal encodes it inline, in one
+	// pass with the rest of the state), or, once decoded, the raw JSON
+	// RestoreSourceState takes.
+	Source any `json:"source"`
 
 	Clocks     []clock.State      `json:"clocks"`
 	TickWhen   []simtime.Time     `json:"tick_when"`
@@ -194,12 +198,7 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	if !ok {
 		return nil, fmt.Errorf("instruction source %T cannot be snapshotted", c.gen)
 	}
-	srcState, err := snapSrc.CaptureSourceState()
-	if err != nil {
-		return nil, fmt.Errorf("capturing source: %w", err)
-	}
-
-	st := &CoreState{Source: srcState}
+	st := &CoreState{Source: snapSrc.CaptureSourceState()}
 
 	// Record table: every in-flight *isa.Instr appears once; holders refer
 	// to records by index.
@@ -298,6 +297,20 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	return st, nil
 }
 
+// UnmarshalJSON decodes a marshaled CoreState, keeping the workload
+// source's position as the raw JSON RestoreSourceState takes.
+func (st *CoreState) UnmarshalJSON(b []byte) error {
+	type plain CoreState // the same fields, without this method
+	var raw json.RawMessage
+	p := plain{Source: &raw}
+	if err := json.Unmarshal(b, &p); err != nil {
+		return err
+	}
+	*st = CoreState(p)
+	st.Source = raw
+	return nil
+}
+
 // RestoreCore builds a machine from a captured state. cfg, name and src must
 // reproduce the configuration and workload source the capture came from
 // (same spec — the campaign layer enforces this via the snapshot envelope's
@@ -311,7 +324,11 @@ func RestoreCore(cfg Config, name string, src workload.InstrSource, st *CoreStat
 	if !ok {
 		return nil, fmt.Errorf("pipeline: instruction source %T cannot restore a snapshot", c.gen)
 	}
-	if err := snapSrc.RestoreSourceState(st.Source); err != nil {
+	raw, ok := st.Source.(json.RawMessage)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: snapshot source state is a %T, not the raw JSON a decoded CoreState holds", st.Source)
+	}
+	if err := snapSrc.RestoreSourceState(raw); err != nil {
 		return nil, fmt.Errorf("pipeline: restoring source: %w", err)
 	}
 

@@ -19,6 +19,13 @@
 //	8       4     body length   (little-endian uint32)
 //	12      4     CRC-32C (Castagnoli) of the body
 //	16      n     body: JSON-encoded Snapshot
+//
+// The same bytes are the wire format of fleet checkpoints: a cluster
+// worker posts the envelope as-is as the body of POST /jobs/checkpoint
+// (Content-Type application/octet-stream, worker_id, job_id and committed
+// in the query string), and the coordinator journals exactly those bytes.
+// The coordinator's 8 MiB request-body limit therefore bounds the envelope
+// itself, not a base64 rendering of it.
 package snapshot
 
 import (
@@ -87,38 +94,49 @@ type Snapshot struct {
 	// Committed is the number of committed instructions at capture: the
 	// warm-up length this snapshot encodes.
 	Committed uint64 `json:"committed"`
-	// State is the opaque machine state (pipeline.CoreState JSON).
+	// State is the opaque machine state (pipeline.CoreState JSON). It must
+	// stay the last field: EncodeBytes appends it verbatim after the others.
 	State json.RawMessage `json:"state"`
 }
 
-// Encode writes the snapshot in envelope form.
-func (s *Snapshot) Encode(w io.Writer) error {
-	body, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("snapshot: encoding body: %w", err)
-	}
-	if len(body) > maxBody {
-		return fmt.Errorf("snapshot: body of %d bytes exceeds the %d-byte format limit", len(body), maxBody)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[0:4], magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+// header holds the body's fields ahead of State, in body order.
+type header struct {
+	SpecKey   string          `json:"spec_key"`
+	SpecJSON  json.RawMessage `json:"spec_json,omitempty"`
+	Committed uint64          `json:"committed"`
 }
 
-// EncodeBytes returns the snapshot in envelope form.
+// EncodeBytes returns the snapshot in envelope form. State is the body's
+// last field and is copied in verbatim rather than re-compacted, so for the
+// compact JSON a capture produces the body is exactly json.Marshal(s)
+// without a second scan of the state. State must therefore be valid JSON;
+// if it is not, the envelope is still well-formed but Decode rejects its
+// body as corrupt.
 func (s *Snapshot) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		return nil, err
+	head, err := json.Marshal(header{SpecKey: s.SpecKey, SpecJSON: s.SpecJSON, Committed: s.Committed})
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encoding body: %w", err)
 	}
-	return buf.Bytes(), nil
+	state := []byte(s.State)
+	if len(state) == 0 {
+		state = []byte("null") // what json.Marshal writes for a nil RawMessage
+	}
+	const stateKey = `,"state":`
+	n := len(head) - 1 + len(stateKey) + len(state) + 1
+	if n > maxBody {
+		return nil, fmt.Errorf("snapshot: body of %d bytes exceeds the %d-byte format limit", n, maxBody)
+	}
+	b := make([]byte, headerSize, headerSize+n)
+	b = append(b, head[:len(head)-1]...) // drop the closing brace
+	b = append(b, stateKey...)
+	b = append(b, state...)
+	b = append(b, '}')
+	body := b[headerSize:]
+	copy(b[0:4], magic)
+	binary.LittleEndian.PutUint32(b[4:8], Version)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[12:16], crc32.Checksum(body, castagnoli))
+	return b, nil
 }
 
 // Digest returns the snapshot's content identity: the hex SHA-256 of its
@@ -189,23 +207,35 @@ func DecodeBytes(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// WriteFile atomically-ish writes the snapshot to path (temp file + rename
-// within the same directory), so a crash mid-write never leaves a
-// truncated snapshot under the final name.
-func WriteFile(path string, s *Snapshot) error {
+// WriteFile writes the snapshot to path atomically: the bytes go to a
+// temp file in the same directory, are synced to disk, and only then
+// renamed over path, so a crash mid-write never leaves a truncated snapshot
+// under the final name. On any failure the temp file is removed.
+func WriteFile(path string, s *Snapshot) (err error) {
 	b, err := s.EncodeBytes()
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	if _, err = f.Write(b); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	return nil
+	return os.Rename(tmp, path)
 }
 
 // ReadFile reads and verifies a snapshot file.

@@ -3,7 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -58,6 +61,65 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if got.SpecKey != s.SpecKey {
 		t.Fatalf("file round trip: got key %q", got.SpecKey)
+	}
+}
+
+// TestWriteFileLeavesNoTemp pins WriteFile's cleanup: neither a successful
+// write nor a failed rename leaves the temp file behind.
+func TestWriteFileLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "warm.gsnp")
+	if err := WriteFile(path, sample()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left after a successful write: %v", err)
+	}
+	// A non-empty directory under the final name makes the rename fail.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(blocked, sample()); err == nil {
+		t.Fatal("WriteFile over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left after a failed rename: %v", err)
+	}
+}
+
+// referenceEnvelope is the plain encoder EncodeBytes must agree with: the
+// body is json.Marshal of the whole struct, which re-compacts State.
+func referenceEnvelope(t *testing.T, s *Snapshot) []byte {
+	t.Helper()
+	body, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, headerSize, headerSize+len(body))
+	copy(b, magic)
+	binary.LittleEndian.PutUint32(b[4:8], Version)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[12:16], crc32.Checksum(body, castagnoli))
+	return append(b, body...)
+}
+
+// TestEncodeMatchesReference covers the header variants: spec_json present
+// or omitted, and an empty State (which encodes as null, as json.Marshal
+// writes it).
+func TestEncodeMatchesReference(t *testing.T) {
+	noSpec := sample()
+	noSpec.SpecJSON = nil
+	noState := sample()
+	noState.State = nil
+	for _, s := range []*Snapshot{sample(), noSpec, noState} {
+		got, err := s.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceEnvelope(t, s); !bytes.Equal(got, want) {
+			t.Errorf("EncodeBytes differs from json.Marshal:\n got  %q\n want %q", got[headerSize:], want[headerSize:])
+		}
 	}
 }
 
@@ -124,7 +186,10 @@ func TestOversizedLength(t *testing.T) {
 
 // FuzzSnapshot feeds arbitrary bytes to the decoder: it must never panic,
 // and whenever it succeeds, re-encoding the result must decode again (the
-// envelope is canonical for what it accepts).
+// envelope is canonical for what it accepts). EncodeBytes copies State
+// verbatim, so when the accepted State is already compact (as json.Marshal
+// writes it) the re-encoding must equal the reference encoder's bytes, so
+// an input that is itself in that form comes back byte for byte.
 func FuzzSnapshot(f *testing.F) {
 	good, _ := sample().EncodeBytes()
 	f.Add(good)
@@ -144,6 +209,13 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		if _, err := DecodeBytes(b); err != nil {
 			t.Fatalf("re-encoded snapshot fails to decode: %v", err)
+		}
+		if compact, _ := json.Marshal(s.State); !bytes.Equal(compact, s.State) {
+			return
+		}
+		ref := referenceEnvelope(t, s)
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("re-encoding differs from the reference encoder:\n got  %q\n want %q", b, ref)
 		}
 	})
 }

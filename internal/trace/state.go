@@ -24,8 +24,8 @@ type ReplayState struct {
 var _ workload.Snapshotter = (*ReplaySource)(nil)
 
 // CaptureSourceState implements workload.Snapshotter.
-func (s *ReplaySource) CaptureSourceState() (json.RawMessage, error) {
-	return json.Marshal(ReplayState{
+func (s *ReplaySource) CaptureSourceState() any {
+	return ReplayState{
 		Discarded: s.discarded,
 		Wrapped:   s.wrapped,
 		Served:    s.served,
@@ -33,7 +33,7 @@ func (s *ReplaySource) CaptureSourceState() (json.RawMessage, error) {
 		Synth:     s.synth,
 		SynthPC:   s.synthPC,
 		WpNext:    s.wpNext,
-	})
+	}
 }
 
 // RestoreSourceState implements workload.Snapshotter: it fast-forwards this

@@ -14,8 +14,10 @@ import (
 // determinism: after RestoreSourceState, the restored source must produce
 // exactly the stream the captured one would have produced from that point.
 type Snapshotter interface {
-	// CaptureSourceState serializes the source's position.
-	CaptureSourceState() (json.RawMessage, error)
+	// CaptureSourceState returns the source's position as a value that
+	// json.Marshal encodes: the capture stays typed so it is encoded once,
+	// inline with the rest of the machine state.
+	CaptureSourceState() any
 	// RestoreSourceState reinstates a captured position into this source,
 	// which must be freshly constructed (nothing produced yet) with the same
 	// configuration the capture came from.
@@ -192,9 +194,7 @@ func (g *Generator) RestoreState(st GeneratorState) error {
 }
 
 // CaptureSourceState implements Snapshotter.
-func (g *Generator) CaptureSourceState() (json.RawMessage, error) {
-	return json.Marshal(g.CaptureState())
-}
+func (g *Generator) CaptureSourceState() any { return g.CaptureState() }
 
 // RestoreSourceState implements Snapshotter.
 func (g *Generator) RestoreSourceState(raw json.RawMessage) error {
@@ -216,7 +216,7 @@ type PhasedState struct {
 }
 
 // CaptureSourceState implements Snapshotter.
-func (p *PhasedGenerator) CaptureSourceState() (json.RawMessage, error) {
+func (p *PhasedGenerator) CaptureSourceState() any {
 	st := PhasedState{
 		Idx:       p.idx,
 		CurCount:  p.curCount,
@@ -230,7 +230,7 @@ func (p *PhasedGenerator) CaptureSourceState() (json.RawMessage, error) {
 			st.Phases[i] = &gs
 		}
 	}
-	return json.Marshal(st)
+	return st
 }
 
 // RestoreSourceState implements Snapshotter.
